@@ -6,13 +6,8 @@
 //! depth for each, plus the sequential-vs-parallel speedup and a
 //! bit-identity check over the serialized [`RunResult`]s.
 //!
-//! Three further axes ride along:
-//! - **scheduler**: the same matrix under the heap and calendar event
-//!   schedulers, with a bit-identity check between them;
-//! - **burst cell**: one burst-heavy AS/400 production cell per
-//!   scheduler, the workload shape the calendar queue targets;
-//! - **xor micro**: the chunked vs scalar parity-fold delta in
-//!   `afraid::shadow`.
+//! An **xor micro** rides along: the chunked vs scalar parity-fold
+//! delta in `afraid::shadow`.
 //!
 //! Usage: `perfbench [duration_secs] [--jobs N] [--cache|--no-cache]`
 //!
@@ -24,17 +19,13 @@
 //! so. Writes `BENCH_parallel_sweep.json` at the repository root.
 
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 use afraid::layout::Layout;
-use afraid::policy::ParityPolicy;
 use afraid::shadow::ShadowArray;
 use afraid_bench::harness;
 use afraid_exp::CellCache;
-use afraid_sim::queue::SchedulerKind;
-use afraid_trace::record::Trace;
-use afraid_trace::workloads::{WorkloadKind, WorkloadSpec};
+use afraid_trace::workloads::WorkloadKind;
 use serde::Serialize;
 
 /// Shorter default than the paper tables: perfbench exists to time the
@@ -52,49 +43,6 @@ struct JobsRun {
     /// serialized `RunResult`s stay machine-independent.
     events_per_sec_wall: f64,
     peak_queue_depth: usize,
-}
-
-#[derive(Serialize)]
-struct SchedulerRun {
-    scheduler: String,
-    matrix_secs: f64,
-    events_total: u64,
-    events_per_sec_wall: f64,
-}
-
-#[derive(Serialize)]
-struct SchedulerComparison {
-    /// Worker count both legs ran at.
-    jobs: usize,
-    runs: Vec<SchedulerRun>,
-    /// heap matrix time / calendar matrix time (>1 = calendar faster).
-    calendar_speedup: f64,
-    bit_identical: bool,
-}
-
-#[derive(Serialize)]
-struct BurstCell {
-    workload: String,
-    policy: String,
-    /// Peak event-queue depth the storm reached (identical across
-    /// backends — it is part of the serialized result).
-    queue_peak: usize,
-    runs: Vec<SchedulerRun>,
-    calendar_speedup: f64,
-    bit_identical: bool,
-}
-
-#[derive(Serialize)]
-struct QueueMicro {
-    /// Events held pending throughout the churn.
-    depth: usize,
-    /// Events per `schedule_batch` burst.
-    burst: usize,
-    /// Total events pushed through each backend.
-    events: u64,
-    runs: Vec<SchedulerRun>,
-    /// heap time / calendar time (>1 = calendar faster).
-    calendar_speedup: f64,
 }
 
 #[derive(Serialize)]
@@ -118,14 +66,6 @@ struct Report {
     runs: Vec<JobsRun>,
     speedup: f64,
     bit_identical: bool,
-    /// Heap vs calendar event scheduler over the same matrix.
-    scheduler_comparison: SchedulerComparison,
-    /// The scheduler axis on the workload shape it targets: a
-    /// burst-heavy AS/400 production cell.
-    burst_cell: BurstCell,
-    /// The event loop in isolation: batched burst churn at depth,
-    /// heap vs calendar, with the full simulator stripped away.
-    queue_micro: QueueMicro,
     /// Chunked vs scalar parity folds in the shadow model.
     xor_micro: XorMicro,
     available_parallelism: usize,
@@ -192,248 +132,6 @@ fn run_at(
         peak_queue_depth: peak,
     };
     (run, blob)
-}
-
-/// Times the full matrix at `jobs` workers under one scheduler
-/// backend, reusing already-generated traces (only the matrix is
-/// timed, so the legs are directly comparable). Best-of-2 wall time:
-/// a ~1 s leg on a shared runner carries enough jitter to flip the
-/// comparison, and the results are identical every sample anyway.
-fn run_sched_leg(
-    jobs: usize,
-    traces: &[Arc<Trace>],
-    policies: &[(String, ParityPolicy)],
-    sched: SchedulerKind,
-) -> (SchedulerRun, String) {
-    const SAMPLES: u32 = 2;
-    let mut best_secs = f64::INFINITY;
-    let mut events_total = 0u64;
-    let mut blob = String::new();
-    for _ in 0..SAMPLES {
-        let t = Instant::now();
-        let rows = harness::run_cells_sched(jobs, traces, policies, sched);
-        let secs = t.elapsed().as_secs_f64();
-        best_secs = best_secs.min(secs);
-        events_total = 0;
-        blob.clear();
-        for row in &rows {
-            for cell in row {
-                events_total += cell.result.metrics.events_processed;
-                blob.push_str(&serde_json::to_string(&cell.result).expect("serializable result"));
-                blob.push('\n');
-            }
-        }
-    }
-    let run = SchedulerRun {
-        scheduler: sched.name().to_string(),
-        matrix_secs: best_secs,
-        events_total,
-        events_per_sec_wall: if best_secs > 0.0 {
-            events_total as f64 / best_secs
-        } else {
-            0.0
-        },
-    };
-    (run, blob)
-}
-
-/// heap time / calendar time from a `[heap, calendar]` run pair.
-fn calendar_speedup(runs: &[SchedulerRun]) -> f64 {
-    match (runs.first(), runs.last()) {
-        (Some(h), Some(c)) if c.matrix_secs > 0.0 => h.matrix_secs / c.matrix_secs,
-        _ => 0.0,
-    }
-}
-
-/// One burst-heavy production cell per scheduler: the AS/400 traces
-/// arrive in large bursts, so each request fans a whole stripe-width
-/// of completions into the queue at once — the shape `schedule_batch`
-/// plus the calendar queue targets.
-fn run_burst_cell() -> BurstCell {
-    // Each leg is re-run and the fastest sample kept: a single sample
-    // mostly measures scheduler jitter on a busy runner, and best-of-N
-    // is the standard fix. Five samples because the two legs differ by
-    // ~10-20% here and single-digit-percent runner jitter would
-    // otherwise dominate the comparison.
-    const SAMPLES: u32 = 5;
-    // The AS/400 preset scaled to storm intensity: bursts an order of
-    // magnitude longer arriving nearly back-to-back, so hundreds of
-    // completions are outstanding at the burst peaks — the deep-queue
-    // regime the calendar backend targets; the paper traces (peak
-    // depth ~40) barely leave the heap's cache-resident range. The
-    // idle gaps between bursts keep the *mean* rate inside the
-    // array's capacity, so the backlog drains instead of diverging.
-    // Duration is fixed rather than CLI-scaled so the cell stays
-    // comparable across perfbench invocations.
-    let mut spec = WorkloadSpec::preset(WorkloadKind::As400_1);
-    spec.name = "as400-storm";
-    spec.description = "as400-1 bursts at storm intensity";
-    spec.burst_len_mean = 400.0;
-    spec.intra_gap_ms = 0.05;
-    spec.idle_short_p = 0.5;
-    spec.idle_short_ms = 1_500.0;
-    spec.idle_long_ms = 4_000.0;
-    let duration = afraid_sim::time::SimDuration::from_secs(600);
-    let policy = ParityPolicy::IdleOnly;
-    let trace = spec.generate(harness::TRACE_CAPACITY, duration, harness::seed());
-    // A commit-heavy client riding on the storm: 65k small
-    // host-requested parity points (the paper §5 commit-like
-    // operation) spread across the run. The driver pre-schedules the
-    // whole barrier timeline, so the event queue carries a deep
-    // standing population for the entire cell — the regime where the
-    // heap pays O(log n) cache-missing sifts per I/O completion while
-    // the calendar's overflow design keeps the hot wheel small. The
-    // count is a balance, not a maximum: each barrier *transits* a
-    // heap in both legs (the calendar parks far-future events in its
-    // overflow heap), so barriers themselves are the one event class
-    // the calendar cannot make cheaper than the heap — they exist to
-    // deepen the standing queue that taxes the heap leg's per-I/O
-    // sifts, while the storm's completions stay the majority class
-    // the wheel serves in O(1). The barriers target the quiescent
-    // partition above the storm's write footprint (55% of capacity),
-    // where parity is already clean: each one is near-pure queue
-    // traffic, so the cell isolates scheduler cost instead of
-    // re-measuring the scrub path on both legs.
-    const COMMITS: u64 = 65_536;
-    let opts = {
-        use afraid_sim::rng::SplitMix64;
-        let mut rng = SplitMix64::new(0xAF1D_0902);
-        let span = duration.as_nanos();
-        let unit = 8_192u64;
-        let quiet_base = harness::TRACE_CAPACITY * 6 / 10;
-        let quiet_slots = (harness::TRACE_CAPACITY - quiet_base) / unit - 1;
-        afraid::driver::RunOptions {
-            parity_points: (0..COMMITS)
-                .map(|_| {
-                    let at = afraid_sim::time::SimTime::from_nanos(rng.next_u64() % span);
-                    let offset = quiet_base + (rng.next_u64() % quiet_slots) * unit;
-                    (at, offset, unit)
-                })
-                .collect(),
-            ..Default::default()
-        }
-    };
-    // Samples are interleaved across the backends (heap, calendar,
-    // heap, calendar, ...) rather than leg-at-a-time: a shared runner
-    // that slows down mid-cell would otherwise tax whichever backend
-    // happened to run second, and the ~10-20% margin under comparison
-    // is inside that drift.
-    let scheds = SchedulerKind::all();
-    let mut best_secs = vec![f64::INFINITY; scheds.len()];
-    let mut events = vec![0u64; scheds.len()];
-    let mut blobs: Vec<String> = vec![String::new(); scheds.len()];
-    let mut queue_peak = 0usize;
-    for _ in 0..SAMPLES {
-        for (i, &sched) in scheds.iter().enumerate() {
-            let t = Instant::now();
-            let cell = harness::run_cell_sched_opts(&trace, policy, sched, &opts);
-            let secs = t.elapsed().as_secs_f64();
-            events[i] = cell.result.metrics.events_processed;
-            queue_peak = cell.result.metrics.event_queue_peak;
-            blobs[i] = serde_json::to_string(&cell.result).expect("serializable result");
-            best_secs[i] = best_secs[i].min(secs);
-        }
-    }
-    let runs: Vec<SchedulerRun> = scheds
-        .iter()
-        .zip(best_secs.iter().zip(events.iter()))
-        .map(|(sched, (&secs, &ev))| SchedulerRun {
-            scheduler: sched.name().to_string(),
-            matrix_secs: secs,
-            events_total: ev,
-            events_per_sec_wall: if secs > 0.0 { ev as f64 / secs } else { 0.0 },
-        })
-        .collect();
-    BurstCell {
-        workload: spec.name.to_string(),
-        policy: "afraid".to_string(),
-        queue_peak,
-        calendar_speedup: calendar_speedup(&runs),
-        bit_identical: blobs.windows(2).all(|w| w[0] == w[1]),
-        runs,
-    }
-}
-
-/// The event loop in isolation: sustained burst churn against each
-/// scheduler backend, with the simulator stripped away. A warm-up
-/// fills the queue to `DEPTH`; the timed phase then alternates
-/// `schedule_batch` bursts of `BURST` completions against windows of
-/// pops, using the simulator's bimodal time shape (dense completions
-/// plus occasional far-out timers). This is where backend choice
-/// shows directly — in full cells the disk model dominates the
-/// per-event cost.
-fn run_queue_micro() -> QueueMicro {
-    use afraid_sim::rng::SplitMix64;
-
-    const DEPTH: usize = 8192;
-    const BURST: usize = 64;
-    const ROUNDS: u64 = 40_000;
-    const SAMPLES: u32 = 3;
-
-    let mut runs = Vec::new();
-    let mut totals = Vec::new();
-    for sched in SchedulerKind::all() {
-        let mut best_secs = f64::INFINITY;
-        let mut events = 0u64;
-        for _ in 0..SAMPLES {
-            let mut q: afraid_sim::queue::EventQueue<u64> =
-                afraid_sim::queue::EventQueue::with_scheduler(sched);
-            let mut rng = SplitMix64::new(0xAF1D_0901);
-            let mut now = 0u64;
-            let mut popped = 0u64;
-            let offset = |rng: &mut SplitMix64| {
-                // 1-in-16 far-out timers, the rest dense completions.
-                if rng.next_u64().is_multiple_of(16) {
-                    1_000_000_000 + rng.next_u64() % 1_000_000
-                } else {
-                    (rng.next_u64() % 64) * 100
-                }
-            };
-            for _ in 0..DEPTH {
-                let dt = offset(&mut rng);
-                q.schedule(afraid_sim::time::SimTime::from_nanos(now + dt), 0);
-            }
-            let t = Instant::now();
-            for round in 0..ROUNDS {
-                q.schedule_batch((0..BURST as u64).map(|i| {
-                    let dt = offset(&mut rng);
-                    (afraid_sim::time::SimTime::from_nanos(now + dt), round + i)
-                }));
-                for _ in 0..BURST {
-                    if let Some((t, _)) = q.pop() {
-                        now = t.as_nanos();
-                        popped += 1;
-                    }
-                }
-            }
-            let secs = t.elapsed().as_secs_f64();
-            // Scheduled + popped both count: each is one queue op pair.
-            events = ROUNDS * BURST as u64 + popped;
-            best_secs = best_secs.min(secs);
-        }
-        runs.push(SchedulerRun {
-            scheduler: sched.name().to_string(),
-            matrix_secs: best_secs,
-            events_total: events,
-            events_per_sec_wall: if best_secs > 0.0 {
-                events as f64 / best_secs
-            } else {
-                0.0
-            },
-        });
-        totals.push(events);
-    }
-    assert!(
-        totals.windows(2).all(|w| w[0] == w[1]),
-        "backends popped different event counts"
-    );
-    QueueMicro {
-        depth: DEPTH,
-        burst: BURST,
-        events: totals.first().copied().unwrap_or(0),
-        calendar_speedup: calendar_speedup(&runs),
-        runs,
-    }
 }
 
 /// Chunked vs scalar parity folds over a dirtied shadow array.
@@ -596,72 +294,6 @@ fn main() {
     assert!(identical, "parallel results diverged from sequential");
     harness::print_cache_stats(cache.as_ref());
 
-    // Scheduler axis: the same matrix under each event-scheduler
-    // backend, at the parallel job count. Always simulated (never
-    // cached) — this leg times the engine itself.
-    println!();
-    println!("scheduler axis (jobs={par_jobs}, uncached):");
-    let traces = harness::traces_for(&kinds, duration, par_jobs);
-    let mut sched_runs = Vec::new();
-    let mut sched_blobs: Vec<String> = Vec::new();
-    for sched in SchedulerKind::all() {
-        let (run, blob) = run_sched_leg(par_jobs, &traces, &policies, sched);
-        println!(
-            "  {:<9} matrix {:>8.2}s {:>14.0} events/s wall",
-            run.scheduler, run.matrix_secs, run.events_per_sec_wall
-        );
-        sched_runs.push(run);
-        sched_blobs.push(blob);
-    }
-    let sched_identical = sched_blobs.windows(2).all(|w| w[0] == w[1]);
-    let sched_speedup = calendar_speedup(&sched_runs);
-    println!("  calendar vs heap: {sched_speedup:.2}x; results bit-identical: {sched_identical}");
-    assert!(sched_identical, "scheduler backends diverged on the matrix");
-    let scheduler_comparison = SchedulerComparison {
-        jobs: par_jobs,
-        runs: sched_runs,
-        calendar_speedup: sched_speedup,
-        bit_identical: sched_identical,
-    };
-
-    // Burst-heavy cell: where batched submission + calendar pop should
-    // show up most clearly.
-    let burst = run_burst_cell();
-    println!();
-    println!(
-        "burst cell ({} / {}, queue peak {}):",
-        burst.workload, burst.policy, burst.queue_peak
-    );
-    for run in &burst.runs {
-        println!(
-            "  {:<9} cell {:>10.2}s {:>14.0} events/s wall",
-            run.scheduler, run.matrix_secs, run.events_per_sec_wall
-        );
-    }
-    println!(
-        "  calendar vs heap: {:.2}x; results bit-identical: {}",
-        burst.calendar_speedup, burst.bit_identical
-    );
-    assert!(
-        burst.bit_identical,
-        "scheduler backends diverged on the burst cell"
-    );
-
-    // Queue micro-axis: the event loop alone, at depth.
-    let qmicro = run_queue_micro();
-    println!();
-    println!(
-        "queue micro (depth {}, bursts of {}):",
-        qmicro.depth, qmicro.burst
-    );
-    for run in &qmicro.runs {
-        println!(
-            "  {:<9} churn {:>9.2}s {:>14.0} events/s",
-            run.scheduler, run.matrix_secs, run.events_per_sec_wall
-        );
-    }
-    println!("  calendar vs heap: {:.2}x", qmicro.calendar_speedup);
-
     // XOR micro-axis: chunked vs scalar shadow parity folds.
     let xor = run_xor_micro();
     println!();
@@ -714,9 +346,6 @@ fn main() {
         runs: vec![seq, par],
         speedup,
         bit_identical: identical,
-        scheduler_comparison,
-        burst_cell: burst,
-        queue_micro: qmicro,
         xor_micro: xor,
         available_parallelism: nproc,
         oversubscribed,

@@ -18,7 +18,6 @@ use afraid::policy::ParityPolicy;
 use afraid::report::availability;
 use afraid_avail::report::AvailabilityReport;
 use afraid_exp::{jobs_from_args, map_parallel, run_matrix, CacheKey, CellCache};
-use afraid_sim::queue::SchedulerKind;
 use afraid_sim::time::SimDuration;
 use afraid_trace::record::Trace;
 use afraid_trace::workloads::{WorkloadKind, WorkloadSpec};
@@ -150,28 +149,8 @@ pub struct Cell {
 
 /// Runs one (workload trace, policy) cell on the paper's array.
 pub fn run_cell(trace: &Trace, policy: ParityPolicy) -> Cell {
-    run_cell_sched(trace, policy, SchedulerKind::default())
-}
-
-/// [`run_cell`] under an explicit event-scheduler backend. The two
-/// backends deliver identical event sequences, so this axis only moves
-/// wall clock — perfbench uses it to compare them.
-pub fn run_cell_sched(trace: &Trace, policy: ParityPolicy, scheduler: SchedulerKind) -> Cell {
-    run_cell_sched_opts(trace, policy, scheduler, &RunOptions::default())
-}
-
-/// [`run_cell_sched`] with explicit run options (fault injections,
-/// parity points). Perfbench's burst cell uses this to layer a
-/// commit-barrier timeline on top of the storm trace.
-pub fn run_cell_sched_opts(
-    trace: &Trace,
-    policy: ParityPolicy,
-    scheduler: SchedulerKind,
-    opts: &RunOptions,
-) -> Cell {
-    let mut cfg = ArrayConfig::paper_default(policy);
-    cfg.scheduler = scheduler;
-    let result = run_trace(&cfg, trace, opts);
+    let cfg = ArrayConfig::paper_default(policy);
+    let result = run_trace(&cfg, trace, &RunOptions::default());
     let avail = availability(&cfg, &result.metrics);
     Cell { result, avail }
 }
@@ -232,18 +211,8 @@ pub fn run_cells(
     traces: &[Arc<Trace>],
     policies: &[(String, ParityPolicy)],
 ) -> Vec<Vec<Cell>> {
-    run_cells_sched(jobs, traces, policies, SchedulerKind::default())
-}
-
-/// [`run_cells`] under an explicit event-scheduler backend.
-pub fn run_cells_sched(
-    jobs: usize,
-    traces: &[Arc<Trace>],
-    policies: &[(String, ParityPolicy)],
-    scheduler: SchedulerKind,
-) -> Vec<Vec<Cell>> {
-    run_matrix(jobs, traces, policies, move |trace, (_, policy), _| {
-        run_cell_sched(trace, *policy, scheduler)
+    run_matrix(jobs, traces, policies, |trace, (_, policy), _| {
+        run_cell(trace, *policy)
     })
 }
 
@@ -386,18 +355,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn scheduler_axis_is_bit_identical() {
-        let trace = trace_for(WorkloadKind::Hplajw, SimDuration::from_secs(10));
-        let heap = run_cell_sched(&trace, ParityPolicy::AlwaysRaid5, SchedulerKind::Heap);
-        let cal = run_cell_sched(&trace, ParityPolicy::AlwaysRaid5, SchedulerKind::Calendar);
-        assert_eq!(
-            serde_json::to_string(&heap.result).unwrap(),
-            serde_json::to_string(&cal.result).unwrap(),
-            "scheduler backends must not change results"
-        );
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use afraid_avail::params::ModelParams;
 use afraid_disk::model::DiskModel;
 use afraid_disk::sched::Policy;
-use afraid_sim::queue::SchedulerKind;
 use afraid_sim::time::{SimDuration, SimTime};
 
 use crate::nvram::MarkGranularity;
@@ -55,11 +54,6 @@ pub struct ArrayConfig {
     pub faults: FaultConfig,
     /// Silent-corruption injection and checksum verification knobs.
     pub integrity: IntegrityConfig,
-    /// Event-queue scheduler backend. A pure performance switch: the
-    /// heap and calendar backends deliver identical event sequences
-    /// (enforced by the scheduler-equivalence tier-1 tests), so run
-    /// results are byte-identical whichever is chosen.
-    pub scheduler: SchedulerKind,
 }
 
 /// Configuration of the latent sector error process and the
@@ -253,7 +247,6 @@ impl ArrayConfig {
             scrub: ScrubConfig::default(),
             faults: FaultConfig::default(),
             integrity: IntegrityConfig::default(),
-            scheduler: SchedulerKind::default(),
         }
     }
 
@@ -277,7 +270,6 @@ impl ArrayConfig {
             scrub: ScrubConfig::default(),
             faults: FaultConfig::default(),
             integrity: IntegrityConfig::default(),
-            scheduler: SchedulerKind::default(),
         }
     }
 
@@ -315,7 +307,6 @@ impl ArrayConfig {
             scrub,
             faults,
             integrity,
-            scheduler,
         } = self;
         format!(
             "disks:{disks:?};stripe_unit_bytes:{stripe_unit_bytes:?};\
@@ -325,7 +316,7 @@ impl ArrayConfig {
              read_cache_bytes:{read_cache_bytes:?};params:{params:?};\
              shadow:{shadow:?};spin_synchronized:{spin_synchronized:?};\
              regions:{regions:?};scrub:{scrub:?};faults:{faults:?};\
-             integrity:{integrity:?};scheduler:{scheduler:?}"
+             integrity:{integrity:?}"
         )
     }
 
@@ -522,11 +513,6 @@ mod tests {
             ("integrity.verify_reads", {
                 let mut c = base.clone();
                 c.integrity.verify_reads = true;
-                c
-            }),
-            ("scheduler", {
-                let mut c = base.clone();
-                c.scheduler = SchedulerKind::Calendar;
                 c
             }),
         ];

@@ -96,8 +96,11 @@ pub enum Ev {
         /// Request slot.
         req: u32,
     },
-    /// One disk I/O belonging to scrub batch `batch` completed.
-    ScrubIo {
+    /// One disk I/O belonging to background batch `batch` of `job`
+    /// completed.
+    BatchIo {
+        /// Which background job issued the batch.
+        job: Job,
         /// Batch sequence number (guards against stale events).
         batch: u64,
     },
@@ -121,16 +124,6 @@ pub enum Ev {
     },
     /// A spare disk has been installed; the rebuild sweep starts.
     SpareInstalled,
-    /// One disk I/O belonging to rebuild batch `batch` completed.
-    RebuildIo {
-        /// Batch sequence number (guards against stale events).
-        batch: u64,
-    },
-    /// One disk I/O belonging to tour-scrub batch `batch` completed.
-    TourIo {
-        /// Batch sequence number (guards against stale events).
-        batch: u64,
-    },
     /// The tour scrubber's IOPS budget has recharged; try to plan the
     /// next batch.
     TourTick,
@@ -240,35 +233,41 @@ enum ShadowMode {
     Rebuild,
 }
 
-/// In-flight scrub batch.
-#[derive(Debug)]
-struct ScrubState {
-    batch_id: u64,
-    stripes: Vec<u64>,
-    pending: u32,
-    phase: ScrubPhase,
-    /// Stripes whose scrub I/O exhausted its retries: their marks stay
-    /// set and a later pass retries them.
-    failed: Vec<u64>,
-}
-
+/// The background jobs that run as read-then-write stripe batches.
+/// Each has one batch slot, so batches of different jobs can be in
+/// flight together (a parity point or an eviction starts a scrub
+/// mid-tour).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ScrubPhase {
-    Read,
-    Write,
+pub enum Job {
+    /// Parity scrub: read the dirty rows of marked stripes, write their
+    /// parity, clear the marks. Locks its stripes against client
+    /// writes.
+    Scrub,
+    /// Latent-error tour: read a stripe run on every disk, then write
+    /// repairs for latent errors found on clean stripes. Never locks:
+    /// it only samples sector readability, so racing writes are
+    /// harmless.
+    Tour,
+    /// Spare rebuild: read a stripe run from every survivor, write it
+    /// onto the spare. Locks its stripes against client writes.
+    Rebuild,
 }
 
-/// In-flight tour-scrub batch: a contiguous stripe run read on every
-/// disk (phase 1), then repair writes for any latent errors found on
-/// clean stripes (phase 2). Tour reads do not lock stripes: they only
-/// sample sector readability, so racing client writes are harmless.
+/// One in-flight background batch: a read phase, then a write phase
+/// planned by its job once every read has completed.
 #[derive(Debug)]
-struct TourBatch {
-    batch_id: u64,
-    first_stripe: u64,
-    stripes: u64,
+struct Batch {
+    /// Sequence number shared by all jobs; completion events carry it
+    /// so events of an abandoned batch are recognised as stale.
+    id: u64,
+    stripes: Vec<u64>,
+    /// Outstanding I/Os of the current phase.
     pending: u32,
-    phase: ScrubPhase,
+    write_phase: bool,
+    /// Stripes under an I/O that exhausted its retries. A failed scrub
+    /// stripe stays marked for a later pass; any failure makes a
+    /// rebuild batch redo itself.
+    failed: Vec<u64>,
 }
 
 /// Degraded-mode state: one disk is dead; optionally a rebuild sweep
@@ -285,22 +284,15 @@ struct Degraded {
     rebuild: Option<Rebuild>,
 }
 
-/// In-flight rebuild sweep.
+/// Rebuild sweep progress; the batch in flight lives in the rebuild
+/// slot.
 #[derive(Debug)]
 struct Rebuild {
     /// Stripes below this are fully restored on the spare.
     cursor_done: u64,
-    /// Current batch (locked against client writes).
-    batch: Vec<u64>,
-    batch_id: u64,
-    pending: u32,
-    phase: ScrubPhase,
     /// Set when the next batch could not start because its first
     /// stripe had writes in flight; completions retry.
     stalled: bool,
-    /// Set when a rebuild I/O of the current batch exhausted its
-    /// retries: the batch is redone instead of advancing the cursor.
-    failed: bool,
 }
 
 /// The array controller plus its event state.
@@ -321,7 +313,10 @@ pub struct Controller {
     pub(crate) now: SimTime,
     idle: IdleDetector,
     idle_event: Option<EventId>,
-    scrub: Option<ScrubState>,
+    /// One in-flight batch slot per background job.
+    scrub: Option<Batch>,
+    tour_batch: Option<Batch>,
+    rebuild_batch: Option<Batch>,
     next_batch_id: u64,
     /// Requests admitted but blocked on a scrub-locked stripe.
     blocked: Vec<u32>,
@@ -370,8 +365,6 @@ pub struct Controller {
     latent: Option<LatentErrors>,
     /// Tour scrubber planning state, when enabled.
     tour: Option<TourScrubber>,
-    /// In-flight tour batch.
-    tour_batch: Option<TourBatch>,
     /// Pending budget-recharge wakeup.
     tour_tick: Option<EventId>,
     /// Set by the driver once the last trace record has been
@@ -532,10 +525,12 @@ impl Controller {
             reqs: Vec::new(),
             free_slots: Vec::new(),
             admitted: 0,
-            events: EventQueue::with_scheduler(cfg.scheduler),
+            events: EventQueue::new(),
             now: SimTime::ZERO,
             idle_event: None,
             scrub: None,
+            tour_batch: None,
+            rebuild_batch: None,
             next_batch_id: 0,
             blocked: Vec::new(),
             writing: FxHashMap::default(),
@@ -561,7 +556,6 @@ impl Controller {
             evicted_at: None,
             latent,
             tour,
-            tour_batch: None,
             tour_tick: None,
             draining: false,
             scratch_slices: Vec::new(),
@@ -669,22 +663,27 @@ impl Controller {
         Some(d.failed)
     }
 
-    /// True if a background task (scrub or rebuild batch) holds this
-    /// stripe against client writes.
+    /// True if a background batch holds this stripe against client
+    /// writes (tour batches never do).
     fn stripe_locked(&self, stripe: u64) -> bool {
-        if let Some(scrub) = &self.scrub {
-            if scrub.stripes.contains(&stripe) {
-                return true;
-            }
+        [&self.scrub, &self.rebuild_batch]
+            .into_iter()
+            .flatten()
+            .any(|b| b.stripes.contains(&stripe))
+    }
+
+    /// The batch slot of `job`.
+    fn slot(&mut self, job: Job) -> &mut Option<Batch> {
+        match job {
+            Job::Scrub => &mut self.scrub,
+            Job::Tour => &mut self.tour_batch,
+            Job::Rebuild => &mut self.rebuild_batch,
         }
-        if let Some(d) = &self.degraded {
-            if let Some(rb) = &d.rebuild {
-                if rb.batch.contains(&stripe) {
-                    return true;
-                }
-            }
-        }
-        false
+    }
+
+    /// The rebuild sweep, while one is running.
+    fn rebuild_mut(&mut self) -> Option<&mut Rebuild> {
+        self.degraded.as_mut()?.rebuild.as_mut()
     }
 
     /// Per-disk statistics.
@@ -716,14 +715,12 @@ impl Controller {
         match ev {
             Ev::Arrive => unreachable!("Arrive is handled by the driver"),
             Ev::ClientIo { req } => self.on_client_io(req),
-            Ev::ScrubIo { batch } => self.on_scrub_io(batch),
+            Ev::BatchIo { job, batch } => self.on_batch_io(job, batch),
             Ev::IdleTimer => self.on_idle_timer(),
             Ev::FailDisk { disk } => self.on_disk_failure(disk),
             Ev::FailNvram => self.on_nvram_failure(),
             Ev::ParityPoint { offset, bytes } => self.request_parity_point(offset, bytes),
             Ev::SpareInstalled => self.on_spare_installed(),
-            Ev::RebuildIo { batch } => self.on_rebuild_io(batch),
-            Ev::TourIo { batch } => self.on_tour_io(batch),
             Ev::TourTick => {
                 self.tour_tick = None;
                 self.maybe_start_tour();
@@ -1461,18 +1458,13 @@ impl Controller {
         if d.scrub_now
             || ((self.nvram_recovery || self.evicting.is_some()) && self.marks.marked_count() > 0)
         {
-            self.start_scrub(true);
+            self.start_scrub();
         }
         self.arm_idle_timer(d.scrub_on_idle);
         // A stalled rebuild sweep retries once the conflicting writes
         // finish.
-        if let Some(Degraded {
-            rebuild: Some(rb), ..
-        }) = &self.degraded
-        {
-            if rb.stalled && rb.pending == 0 {
-                self.rebuild_next_batch();
-            }
+        if self.rebuild_mut().is_some_and(|rb| rb.stalled) {
+            self.rebuild_next_batch();
         }
         self.try_finalize_eviction();
     }
@@ -1983,28 +1975,22 @@ impl Controller {
                 }
                 self.handle(fl.done);
             }
-            IoCause::ScrubRead | IoCause::ScrubWrite => {
-                if let (Some(scrub), Ev::ScrubIo { batch }) = (&mut self.scrub, fl.done) {
-                    if scrub.batch_id == batch {
-                        let first = fl.io.lba / us;
-                        let last = (fl.io.lba + fl.io.sectors - 1) / us;
+            IoCause::ScrubRead
+            | IoCause::ScrubWrite
+            | IoCause::RebuildRead
+            | IoCause::RebuildWrite
+            | IoCause::TourRead
+            | IoCause::LatentRepairWrite => {
+                // The batch's job decides what a failed extent means
+                // when the batch finishes.
+                if let Ev::BatchIo { job, batch } = fl.done {
+                    let first = fl.io.lba / us;
+                    let last = (fl.io.lba + fl.io.sectors - 1) / us;
+                    if let Some(b) = self.slot(job).as_mut().filter(|b| b.id == batch) {
                         for s in first..=last {
-                            if scrub.stripes.contains(&s) && !scrub.failed.contains(&s) {
-                                scrub.failed.push(s);
+                            if b.stripes.contains(&s) && !b.failed.contains(&s) {
+                                b.failed.push(s);
                             }
-                        }
-                    }
-                }
-                self.handle(fl.done);
-            }
-            IoCause::RebuildRead | IoCause::RebuildWrite => {
-                if let Ev::RebuildIo { batch } = fl.done {
-                    if let Some(Degraded {
-                        rebuild: Some(rb), ..
-                    }) = &mut self.degraded
-                    {
-                        if rb.batch_id == batch {
-                            rb.failed = true;
                         }
                     }
                 }
@@ -2016,12 +2002,9 @@ impl Controller {
                 self.metrics.record_failed_read();
                 self.handle(fl.done);
             }
-            IoCause::TourRead
-            | IoCause::LatentRepairWrite
-            | IoCause::ReadRepairWrite
-            | IoCause::CorruptRepairWrite => {
-                // Best-effort background work; the next tour or a
-                // client rewrite covers it.
+            IoCause::ReadRepairWrite | IoCause::CorruptRepairWrite => {
+                // Best-effort repair; a later read or client rewrite
+                // covers it.
                 self.handle(fl.done);
             }
         }
@@ -2100,7 +2083,7 @@ impl Controller {
         self.evicting = Some(disk);
         self.disk_mut(disk).set_patient(true);
         if self.marks.marked_count() > 0 {
-            self.start_scrub(true);
+            self.start_scrub();
         }
     }
 
@@ -2108,16 +2091,19 @@ impl Controller {
     /// flight, hand the condemned disk to the driver as an `Evict`
     /// event (processed like an injected failure, minus the loss).
     fn try_finalize_eviction(&mut self) {
-        let Some(disk) = self.evicting else { return };
-        if self.scrub.is_some()
-            || self.marks.marked_count() > 0
-            || !self.writing.is_empty()
-            || !self.flights.is_empty()
-        {
+        let Some(disk) = self.evicting.filter(|_| self.settled()) else {
             return;
-        }
+        };
         self.evicting = None;
         self.events.schedule(self.now, Ev::Evict { disk });
+    }
+
+    /// No mark, scrub, client write or faulted I/O is outstanding.
+    fn settled(&self) -> bool {
+        self.scrub.is_none()
+            && self.marks.marked_count() == 0
+            && self.writing.is_empty()
+            && self.flights.is_empty()
     }
 
     /// Driver-side half of the eviction. Returns false if a
@@ -2125,14 +2111,10 @@ impl Controller {
     /// and this event — the settle is re-armed and the driver carries
     /// on.
     pub(crate) fn finalize_eviction(&mut self, disk: u32) -> bool {
-        if self.scrub.is_some()
-            || self.marks.marked_count() > 0
-            || !self.writing.is_empty()
-            || !self.flights.is_empty()
-        {
+        if !self.settled() {
             self.evicting = Some(disk);
             if self.marks.marked_count() > 0 {
-                self.start_scrub(true);
+                self.start_scrub();
             }
             return false;
         }
@@ -2188,6 +2170,66 @@ impl Controller {
     }
 
     // ------------------------------------------------------------------
+    // Background batches: scrub, tour and rebuild
+    // ------------------------------------------------------------------
+
+    /// Issues the read phase of a new `job` batch over `stripes` and
+    /// installs it in the job's slot. Drains `ios`.
+    fn begin_batch(&mut self, job: Job, stripes: Vec<u64>, ios: &mut Vec<PlannedIo>) {
+        let id = self.next_batch_id;
+        self.next_batch_id += 1;
+        let pending = ios.len() as u32;
+        debug_assert!(pending > 0, "{job:?} batch with no reads");
+        self.submit_batch(ios, Ev::BatchIo { job, batch: id });
+        *self.slot(job) = Some(Batch {
+            id,
+            stripes,
+            pending,
+            write_phase: false,
+            failed: Vec::new(),
+        });
+    }
+
+    /// One I/O of a `job` batch completed. The last read hands over to
+    /// the job's write phase; the last write, or a write phase with
+    /// nothing to write, finishes the batch.
+    fn on_batch_io(&mut self, job: Job, batch: u64) {
+        let Some(b) = self.slot(job).as_mut().filter(|b| b.id == batch) else {
+            return; // stale event from an abandoned batch
+        };
+        b.pending -= 1;
+        if b.pending > 0 {
+            return;
+        }
+        if !b.write_phase {
+            b.write_phase = true;
+            let mut ios = std::mem::take(&mut self.scratch_ios);
+            match job {
+                Job::Scrub => self.plan_scrub_writes(&mut ios),
+                Job::Tour => self.plan_tour_repairs(&mut ios),
+                Job::Rebuild => self.plan_rebuild_write(&mut ios),
+            }
+            if !ios.is_empty() {
+                if let Some(b) = self.slot(job) {
+                    b.pending = ios.len() as u32;
+                }
+                self.submit_batch(&mut ios, Ev::BatchIo { job, batch });
+                self.scratch_ios = ios;
+                return;
+            }
+            self.scratch_ios = ios;
+        }
+        let Some(b) = self.slot(job).take() else {
+            return;
+        };
+        match job {
+            Job::Scrub => self.finish_scrub_batch(b),
+            Job::Tour => self.finish_tour_batch(b),
+            Job::Rebuild => self.finish_rebuild_batch(b),
+        }
+    }
+
+    // ------------------------------------------------------------------
     // Idle detection and scrubbing
     // ------------------------------------------------------------------
 
@@ -2224,7 +2266,7 @@ impl Controller {
         }
         let d = self.evaluate_policy();
         if d.scrub_on_idle && self.marks.marked_count() > 0 {
-            self.start_scrub(false);
+            self.start_scrub();
         }
         // Parity scrubbing has priority; the tour takes the idle
         // period only when no parity scrub started.
@@ -2252,14 +2294,14 @@ impl Controller {
         }
         self.metrics.record_parity_point();
         if queued {
-            self.start_scrub(true);
+            self.start_scrub();
         }
     }
 
     /// Starts scrubbing if not already running. Whether scrubbing
     /// continues under client load is re-decided by the policy at
     /// every batch boundary.
-    fn start_scrub(&mut self, _forced: bool) {
+    fn start_scrub(&mut self) {
         if self.scrub.is_some() || self.degraded.is_some() || self.marks.marked_count() == 0 {
             return;
         }
@@ -2307,7 +2349,6 @@ impl Controller {
         let Some(&start) = candidates.iter().find(|s| !self.writing.contains_key(s)) else {
             // Every nearby dirty stripe is being written: give up for
             // now; completions will retrigger.
-            self.scrub = None;
             return;
         };
         let run = self.marks.marked_run(start, self.cfg.scrub_batch);
@@ -2323,13 +2364,9 @@ impl Controller {
         self.issue_scrub_batch(batch);
     }
 
-    /// Issues the read phase of a scrub batch and installs the scrub
-    /// state.
+    /// Issues the read phase of a scrub batch.
     fn issue_scrub_batch(&mut self, batch: Vec<u64>) {
         debug_assert!(!batch.is_empty());
-        let batch_id = self.next_batch_id;
-        self.next_batch_id += 1;
-
         // Plan the reads: for each dirty stripe, the dirty row range of
         // every data unit; extents on the same disk merge when
         // adjacent (the coalescing optimisation).
@@ -2371,47 +2408,17 @@ impl Controller {
                 });
             }
         }
-        let pending = ios.len() as u32;
-        self.submit_batch(&mut ios, Ev::ScrubIo { batch: batch_id });
-        self.scratch_ios = ios;
         self.scrub_extents = per_disk;
-        debug_assert!(pending > 0);
-        self.scrub = Some(ScrubState {
-            batch_id,
-            stripes: batch,
-            pending,
-            phase: ScrubPhase::Read,
-            failed: Vec::new(),
-        });
+        self.begin_batch(Job::Scrub, batch, &mut ios);
+        self.scratch_ios = ios;
     }
 
-    fn on_scrub_io(&mut self, batch: u64) {
-        let Some(scrub) = &mut self.scrub else { return };
-        if scrub.batch_id != batch {
-            return; // stale event from an abandoned batch
-        }
-        scrub.pending -= 1;
-        if scrub.pending > 0 {
-            return;
-        }
-        match scrub.phase {
-            ScrubPhase::Read => self.scrub_write_phase(),
-            ScrubPhase::Write => self.finish_scrub_batch(),
-        }
-    }
-
-    fn scrub_write_phase(&mut self) {
-        // Take the scrub state out so its stripe list can be walked
-        // without cloning it for every batch.
-        let Some(mut scrub) = self.scrub.take() else {
-            debug_assert!(false, "scrub write phase without a scrub in flight");
-            return;
-        };
-        scrub.phase = ScrubPhase::Write;
-        let batch_id = scrub.batch_id;
+    /// Scrub write phase: one parity write per stripe over its dirty
+    /// rows.
+    fn plan_scrub_writes(&self, ios: &mut Vec<PlannedIo>) {
+        let Some(scrub) = &self.scrub else { return };
         let m = u64::from(self.cfg.mark_granularity.bits());
         let row_sectors = self.layout.unit_sectors() / m;
-        let mut ios = std::mem::take(&mut self.scratch_ios);
         for &s in &scrub.stripes {
             let mask = self.marks.row_mask(s);
             let first = mask.trailing_zeros() as u64;
@@ -2424,17 +2431,9 @@ impl Controller {
                 cause: IoCause::ScrubWrite,
             });
         }
-        scrub.pending = ios.len() as u32;
-        self.scrub = Some(scrub);
-        self.submit_batch(&mut ios, Ev::ScrubIo { batch: batch_id });
-        self.scratch_ios = ios;
     }
 
-    fn finish_scrub_batch(&mut self) {
-        let Some(scrub) = self.scrub.take() else {
-            debug_assert!(false, "scrub finish without a scrub in flight");
-            return;
-        };
+    fn finish_scrub_batch(&mut self, scrub: Batch) {
         let mut settled = 0u64;
         let mut condemned: Option<u32> = None;
         for &s in &scrub.stripes {
@@ -2481,10 +2480,7 @@ impl Controller {
 
         // Unblock writes that were waiting on these stripes (they may
         // block again on the next batch).
-        let blocked = std::mem::take(&mut self.blocked);
-        for slot in blocked {
-            self.restart_blocked(slot);
-        }
+        self.restart_blocked();
 
         // Continue? Forced scrubs (policy demand or NVRAM recovery)
         // keep going under load; idle scrubs are preempted between
@@ -2554,11 +2550,8 @@ impl Controller {
     }
 
     /// Issues the read phase of a tour batch: one contiguous extent on
-    /// *every* disk (parity included — full sector coverage). Tour
-    /// reads do not lock stripes against client writes.
+    /// *every* disk (parity included — full sector coverage).
     fn issue_tour_batch(&mut self, first_stripe: u64, stripes: u64) {
-        let batch_id = self.next_batch_id;
-        self.next_batch_id += 1;
         let lba = self.layout.stripe_lba(first_stripe);
         let sectors = stripes * self.layout.unit_sectors();
         let mut ios = std::mem::take(&mut self.scratch_ios);
@@ -2571,44 +2564,23 @@ impl Controller {
                 cause: IoCause::TourRead,
             });
         }
-        self.submit_batch(&mut ios, Ev::TourIo { batch: batch_id });
+        let batch = (first_stripe..first_stripe + stripes).collect();
+        self.begin_batch(Job::Tour, batch, &mut ios);
         self.scratch_ios = ios;
-        self.tour_batch = Some(TourBatch {
-            batch_id,
-            first_stripe,
-            stripes,
-            pending: self.cfg.disks,
-            phase: ScrubPhase::Read,
-        });
     }
 
-    fn on_tour_io(&mut self, batch: u64) {
-        let Some(tb) = &mut self.tour_batch else {
-            return;
-        };
-        if tb.batch_id != batch {
-            return; // stale event from an abandoned batch
-        }
-        tb.pending -= 1;
-        if tb.pending > 0 {
-            return;
-        }
-        match tb.phase {
-            ScrubPhase::Read => self.tour_repair_phase(),
-            ScrubPhase::Write => self.finish_tour_batch(),
-        }
-    }
-
-    /// Read phase done: detect latent errors under the batch and issue
+    /// Tour write phase: detect latent errors under the batch and plan
     /// repair writes for those that are repairable. The tour already
     /// holds every unit of the batch in memory, so a repair is a
     /// single sector write — no extra reconstruction reads.
-    fn tour_repair_phase(&mut self) {
-        let Some(tb) = self.tour_batch.as_ref() else {
-            debug_assert!(false, "tour repair phase without a batch in flight");
+    fn plan_tour_repairs(&mut self, ios: &mut Vec<PlannedIo>) {
+        let Some((first, nstripes)) = self
+            .tour_batch
+            .as_ref()
+            .and_then(|b| Some((*b.stripes.first()?, b.stripes.len() as u64)))
+        else {
             return;
         };
-        let (batch_id, first, nstripes) = (tb.batch_id, tb.first_stripe, tb.stripes);
         // Integrity sweep first: repairs/declares here restore parity
         // consistency on unmarked stripes, which the latent-repair
         // cross-checks below assert.
@@ -2618,7 +2590,6 @@ impl Controller {
         let span = nstripes * unit_sectors;
 
         let mut detected = 0u64;
-        let mut repairs: Vec<(u32, u64)> = Vec::new();
         if let Some(latent) = &mut self.latent {
             latent.advance(self.now);
             for disk in 0..self.cfg.disks {
@@ -2633,7 +2604,13 @@ impl Controller {
                     let twin = (0..self.cfg.disks)
                         .any(|d| d != disk && latent.active_at(d, sector, self.now));
                     if clean && !twin {
-                        repairs.push((disk, sector));
+                        ios.push(PlannedIo {
+                            disk,
+                            lba: sector,
+                            sectors: 1,
+                            op: OpKind::Write,
+                            cause: IoCause::LatentRepairWrite,
+                        });
                     }
                 }
             }
@@ -2644,9 +2621,9 @@ impl Controller {
         // about to repair must actually be reconstructable, or the
         // repair would write garbage over client data.
         if let Some(shadow) = &self.shadow {
-            for &(disk, sector) in &repairs {
-                let stripe = first + (sector - lba0) / unit_sectors;
-                shadow.check_scrub_repair(stripe, disk);
+            for io in ios.iter() {
+                let stripe = first + (io.lba - lba0) / unit_sectors;
+                shadow.check_scrub_repair(stripe, io.disk);
                 // Tour-repair parity invariant: the stripe the repair
                 // reconstructs from must have parity agreeing with its
                 // data in the shadow model — repairs were only planned
@@ -2657,46 +2634,25 @@ impl Controller {
                 );
             }
         }
-        // `repairs` is non-empty only if the latent process exists (it
-        // produced them above), so the if-let never silently skips.
+        // Repairs exist only if the latent process does (it produced
+        // them above), so the if-let never silently skips.
         if let Some(latent) = &mut self.latent {
-            for &(disk, sector) in &repairs {
-                let was_bad = latent.repair(disk, sector);
+            for io in ios.iter() {
+                let was_bad = latent.repair(io.disk, io.lba);
                 debug_assert!(was_bad);
             }
         }
-        if repairs.is_empty() {
-            self.finish_tour_batch();
-            return;
+        if !ios.is_empty() {
+            self.metrics.record_latent_repaired(ios.len() as u64);
         }
-        self.metrics.record_latent_repaired(repairs.len() as u64);
-        let Some(tb) = self.tour_batch.as_mut() else {
-            debug_assert!(false, "tour repair phase without a batch in flight");
-            return;
-        };
-        tb.phase = ScrubPhase::Write;
-        tb.pending = repairs.len() as u32;
-        let mut ios = std::mem::take(&mut self.scratch_ios);
-        ios.extend(repairs.iter().map(|&(disk, sector)| PlannedIo {
-            disk,
-            lba: sector,
-            sectors: 1,
-            op: OpKind::Write,
-            cause: IoCause::LatentRepairWrite,
-        }));
-        self.submit_batch(&mut ios, Ev::TourIo { batch: batch_id });
-        self.scratch_ios = ios;
     }
 
-    fn finish_tour_batch(&mut self) {
-        let Some(tb) = self.tour_batch.take() else {
-            debug_assert!(false, "tour finish without a batch in flight");
-            return;
-        };
+    fn finish_tour_batch(&mut self, tb: Batch) {
+        let stripes = tb.stripes.len() as u64;
         self.metrics
-            .record_tour_batch(tb.stripes * self.layout.unit_sectors() * u64::from(self.cfg.disks));
+            .record_tour_batch(stripes * self.layout.unit_sectors() * u64::from(self.cfg.disks));
         let now = self.now;
-        if let Some(dur) = self.tour.as_mut().and_then(|t| t.complete(now, tb.stripes)) {
+        if let Some(dur) = self.tour.as_mut().and_then(|t| t.complete(now, stripes)) {
             self.metrics.record_tour(dur);
         }
         // Keep touring through the idle period (budget permitting);
@@ -2728,10 +2684,11 @@ impl Controller {
     /// dirty stripes whose *parity* lived on the dead disk stay marked
     /// until the rebuild sweep recomputes them onto the spare.
     pub(crate) fn enter_degraded(&mut self, disk: u32) {
-        // Abandon any in-flight scrub: its remaining events are
-        // ignored via the batch-id check, and no new scrubs start
-        // while degraded.
+        // Abandon every in-flight background batch: their remaining
+        // events are ignored as stale, and no new scrubs start while
+        // degraded.
         self.scrub = None;
+        self.rebuild_batch = None;
         // A pending eviction settle is overtaken by this failure: with
         // a disk already lost there is no slack to retire another.
         if let Some(e) = self.evicting.take() {
@@ -2822,28 +2779,23 @@ impl Controller {
         });
 
         // Re-plan writes that were blocked behind the abandoned scrub.
-        let blocked = std::mem::take(&mut self.blocked);
-        for slot in blocked {
-            self.restart_blocked(slot);
+        self.restart_blocked();
+    }
+
+    /// Re-enters every blocked request through the planning path (they
+    /// may block again).
+    fn restart_blocked(&mut self) {
+        for slot in std::mem::take(&mut self.blocked) {
+            let req = self.take_req(slot);
+            let rec = IoRecord {
+                time: req.arrival,
+                offset: req.offset,
+                bytes: req.bytes,
+                kind: req.kind,
+            };
+            self.retire_shell(req);
+            self.start_request(rec);
         }
-    }
-
-    /// Re-enters a blocked request through the planning path.
-    fn restart_blocked(&mut self, slot: u32) {
-        let req = self.take_req(slot);
-        let rec = IoRecord {
-            time: req.arrival,
-            offset: req.offset,
-            bytes: req.bytes,
-            kind: req.kind,
-        };
-        self.retire_shell(req);
-        self.start_request(rec);
-    }
-
-    /// Rebuild-sweep batch size, in stripes.
-    fn rebuild_batch_stripes(&self) -> u64 {
-        4 * self.cfg.scrub_batch
     }
 
     fn on_spare_installed(&mut self) {
@@ -2854,12 +2806,7 @@ impl Controller {
         let failed = d.failed;
         d.rebuild = Some(Rebuild {
             cursor_done: 0,
-            batch: Vec::new(),
-            batch_id: 0,
-            pending: 0,
-            phase: ScrubPhase::Read,
             stalled: false,
-            failed: false,
         });
         self.disk_mut(failed).replace();
         self.rebuild_next_batch();
@@ -2870,35 +2817,26 @@ impl Controller {
     /// spare. Stripes with client writes in flight stall the sweep
     /// until they complete.
     fn rebuild_next_batch(&mut self) {
-        let (failed, start) = match &self.degraded {
-            Some(Degraded {
-                failed,
-                rebuild: Some(rb),
-                ..
-            }) => (*failed, rb.cursor_done),
-            _ => return,
+        let (Some(failed), Some(start)) = (self.dead_disk(), self.rebuild_cursor()) else {
+            return;
         };
         let total = self.layout.stripes();
         if start >= total {
             self.finish_rebuild();
             return;
         }
-        let max_end = (start + self.rebuild_batch_stripes()).min(total);
+        // Rebuild batches are four scrub batches long.
+        let max_end = (start + 4 * self.cfg.scrub_batch).min(total);
         let mut end = start;
         while end < max_end && !self.writing.contains_key(&end) {
             end += 1;
         }
         if end == start {
-            if let Some(Degraded {
-                rebuild: Some(rb), ..
-            }) = &mut self.degraded
-            {
+            if let Some(rb) = self.rebuild_mut() {
                 rb.stalled = true;
             }
             return;
         }
-        let batch_id = self.next_batch_id;
-        self.next_batch_id += 1;
         let lba = self.layout.stripe_lba(start);
         let sectors = (end - start) * self.layout.unit_sectors();
         let mut ios = std::mem::take(&mut self.scratch_ios);
@@ -2914,116 +2852,51 @@ impl Controller {
                 cause: IoCause::RebuildRead,
             });
         }
-        let pending = ios.len() as u32;
-        self.submit_batch(&mut ios, Ev::RebuildIo { batch: batch_id });
+        self.begin_batch(Job::Rebuild, (start..end).collect(), &mut ios);
         self.scratch_ios = ios;
-        if let Some(Degraded {
-            rebuild: Some(rb), ..
-        }) = &mut self.degraded
-        {
-            rb.batch = (start..end).collect();
-            rb.batch_id = batch_id;
-            rb.pending = pending;
-            rb.phase = ScrubPhase::Read;
+        if let Some(rb) = self.rebuild_mut() {
             rb.stalled = false;
-            rb.failed = false;
         }
     }
 
-    fn on_rebuild_io(&mut self, batch: u64) {
-        let (failed, phase, done) = match &mut self.degraded {
-            Some(Degraded {
-                failed,
-                rebuild: Some(rb),
-                ..
-            }) => {
-                if rb.batch_id != batch {
-                    return; // stale event
-                }
-                rb.pending -= 1;
-                (*failed, rb.phase, rb.pending == 0)
-            }
-            _ => return,
-        };
-        if !done {
+    /// Rebuild write phase: the reconstructed extent onto the spare.
+    fn plan_rebuild_write(&self, ios: &mut Vec<PlannedIo>) {
+        let (Some(b), Some(failed)) = (&self.rebuild_batch, self.dead_disk()) else {
             return;
-        }
-        match phase {
-            ScrubPhase::Read => {
-                // Write the reconstructed extent onto the spare.
-                let (lba, sectors, batch_id) = {
-                    let Some(Degraded {
-                        rebuild: Some(rb), ..
-                    }) = &mut self.degraded
-                    else {
-                        unreachable!("rebuild in flight")
-                    };
-                    rb.phase = ScrubPhase::Write;
-                    rb.pending = 1;
-                    let first = rb.batch.first().copied().unwrap_or(rb.cursor_done);
-                    let len = rb.batch.len() as u64;
-                    (
-                        self.layout.stripe_lba(first),
-                        len * self.layout.unit_sectors(),
-                        rb.batch_id,
-                    )
-                };
-                self.submit(
-                    PlannedIo {
-                        disk: failed,
-                        lba,
-                        sectors,
-                        op: OpKind::Write,
-                        cause: IoCause::RebuildWrite,
-                    },
-                    Ev::RebuildIo { batch: batch_id },
-                );
-            }
-            ScrubPhase::Write => self.finish_rebuild_batch(failed),
-        }
+        };
+        let Some(&first) = b.stripes.first() else {
+            return;
+        };
+        ios.push(PlannedIo {
+            disk: failed,
+            lba: self.layout.stripe_lba(first),
+            sectors: b.stripes.len() as u64 * self.layout.unit_sectors(),
+            op: OpKind::Write,
+            cause: IoCause::RebuildWrite,
+        });
     }
 
-    fn finish_rebuild_batch(&mut self, failed: u32) {
-        let (batch, redo) = {
-            let Some(Degraded {
-                rebuild: Some(rb), ..
-            }) = &mut self.degraded
-            else {
-                unreachable!("rebuild in flight")
-            };
-            let batch = std::mem::take(&mut rb.batch);
-            let redo = rb.failed;
-            rb.failed = false;
-            if !redo {
-                if let Some(&last) = batch.last() {
-                    rb.cursor_done = last + 1;
-                }
-            }
-            (batch, redo)
-        };
-        if redo {
-            // A rebuild I/O exhausted its retries: the spare's copy of
-            // this extent cannot be trusted, so redo the batch (the
-            // cursor did not advance) with fresh fault draws.
-            let blocked = std::mem::take(&mut self.blocked);
-            for slot in blocked {
-                self.restart_blocked(slot);
-            }
-            self.rebuild_next_batch();
+    fn finish_rebuild_batch(&mut self, batch: Batch) {
+        let Some(failed) = self.dead_disk() else {
             return;
-        }
-        for &s in &batch {
-            if self.layout.parity_disk(s) == failed {
-                if let Some(shadow) = &mut self.shadow {
-                    shadow.rebuild_parity(s);
+        };
+        // A rebuild I/O that exhausted its retries leaves the spare's
+        // copy of the extent untrusted: the cursor stays put and the
+        // batch is redone with fresh fault draws.
+        if batch.failed.is_empty() {
+            if let (Some(rb), Some(&last)) = (self.rebuild_mut(), batch.stripes.last()) {
+                rb.cursor_done = last + 1;
+            }
+            for &s in &batch.stripes {
+                if self.layout.parity_disk(s) == failed {
+                    if let Some(shadow) = &mut self.shadow {
+                        shadow.rebuild_parity(s);
+                    }
+                    self.clear_mark(s);
                 }
-                self.clear_mark(s);
             }
         }
-        let blocked = std::mem::take(&mut self.blocked);
-        for slot in blocked {
-            self.restart_blocked(slot);
-        }
+        self.restart_blocked();
         self.rebuild_next_batch();
     }
 
@@ -3054,6 +2927,9 @@ impl Controller {
             * self.layout.unit_bytes() as f64;
         self.push_lag();
         self.nvram_recovery = true;
-        self.start_scrub(true);
+        self.start_scrub();
     }
 }
+
+#[cfg(test)]
+mod tests;

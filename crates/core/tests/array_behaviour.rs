@@ -486,6 +486,36 @@ fn parity_point_scrubs_immediately() {
 }
 
 #[test]
+fn parity_point_mid_tour_scrubs_alongside_the_tour() {
+    // RAID 0 never scrubs on its own, so stripe 1 stays dirty while the
+    // latent-error tour sweeps back-to-back batches through the idle
+    // period. A parity point mid-tour starts a scrub batch with a tour
+    // batch still in flight: both finish, the stripe is settled and the
+    // tour completes.
+    let t = trace_of(&[(0, 4 * 8192, 8192, ReqKind::Write)]);
+    let mut c = cfg(ParityPolicy::NeverRebuild);
+    c.scrub.enabled = true;
+    c.scrub.iops_budget = 1.0e6;
+    let opts = RunOptions {
+        parity_points: vec![(SimTime::from_millis(1_000), 4 * 8192, 8192)],
+        ..RunOptions::default()
+    };
+    let plain = run_trace(&c, &t, &RunOptions::default());
+    assert_eq!(plain.metrics.stripes_scrubbed, 0);
+    assert!(
+        plain.metrics.mean_tour_secs > 2.0,
+        "the tour must still be running at the parity point"
+    );
+
+    let r = run_trace(&c, &t, &opts);
+    assert_eq!(r.metrics.parity_points, 1);
+    assert_eq!(r.metrics.stripes_scrubbed, 1);
+    assert_eq!(r.metrics.io.scrub_write, 1);
+    assert_eq!(r.metrics.scrub_tours, plain.metrics.scrub_tours);
+    assert_eq!(r.metrics.tour_sectors_read, plain.metrics.tour_sectors_read);
+}
+
+#[test]
 fn parity_point_on_clean_range_is_noop() {
     let t = trace_of(&[(0, 0, 8192, ReqKind::Read)]);
     let opts = RunOptions {

@@ -3,7 +3,7 @@
 //! the rebuild sweep.
 
 use afraid::config::ArrayConfig;
-use afraid::driver::{run_trace, RunOptions};
+use afraid::driver::{run_to_cut, run_trace, RunOptions};
 use afraid::policy::ParityPolicy;
 use afraid_sim::time::{SimDuration, SimTime};
 use afraid_trace::record::{IoRecord, ReqKind, Trace};
@@ -272,4 +272,75 @@ fn determinism_through_failure_and_rebuild() {
     assert_eq!(a.metrics.mean_io_ms, b.metrics.mean_io_ms);
     assert_eq!(a.metrics.io, b.metrics.io);
     assert_eq!(a.rebuilt_at, b.rebuilt_at);
+}
+
+/// Failure time that lands while the run's first background batch has
+/// its reads in flight: the instant that batch is issued (the event at
+/// `issue_event`) plus 1 µs. Asserts the batch's first completion, the
+/// next event of a fault-free run, comes later still.
+fn mid_batch_failure(cfg: &ArrayConfig, t: &Trace, issue_event: u64) -> SimTime {
+    let at = |cut| run_to_cut(cfg, t, &RunOptions::default(), cut).image.at;
+    let fail_at = at(issue_event) + SimDuration::from_micros(1);
+    assert!(
+        at(issue_event + 1) > fail_at,
+        "the batch's reads completed before the failure"
+    );
+    fail_at
+}
+
+#[test]
+fn stale_scrub_completions_during_rebuild_are_ignored() {
+    // Stripe 0 is dirty; its scrub batch is issued by the idle timer
+    // (event 3, after the arrival and the write's completion). Disk 4,
+    // the stripe's parity disk, fails while the scrub reads are in
+    // flight and the spare arrives at the same instant, so the rebuild
+    // starts before the abandoned scrub's completions come back. They
+    // must be recognised as stale: the rebuild finishes, and
+    // rebuilding the parity unit settles the stripe's mark.
+    let t = trace_of(&[(0, 0, 8192, ReqKind::Write)]);
+    let cfg = ArrayConfig::small_test(ParityPolicy::IdleOnly);
+    let mut opts = degraded_opts(4, 0);
+    opts.fail_disk = Some((4, mid_batch_failure(&cfg, &t, 3)));
+    opts.spare_delay = Some(SimDuration::ZERO);
+
+    let r = run_trace(&cfg, &t, &opts);
+    assert!(r.rebuilt_at.is_some(), "rebuild never finished");
+    assert!(r.loss.as_ref().expect("failure injected").is_lossless());
+    assert_eq!(r.metrics.io.scrub_read, 4, "the scrub batch never started");
+    assert_eq!(
+        r.metrics.io.scrub_write, 0,
+        "the abandoned scrub wrote parity"
+    );
+    let end = run_to_cut(&cfg, &t, &opts, u64::MAX).image;
+    assert_eq!(end.failed_disk, None);
+    assert_eq!(end.marks.marked_count(), 0, "marks left after the rebuild");
+    assert_eq!(
+        serde_json::to_string(&r).unwrap(),
+        serde_json::to_string(&run_trace(&cfg, &t, &opts)).unwrap()
+    );
+}
+
+#[test]
+fn stale_tour_completions_during_rebuild_are_ignored() {
+    // No writes, so the first idle period belongs to the latent-error
+    // tour: its first batch is issued by the idle timer (event 3).
+    // Failing a disk mid-batch abandons the tour; the spare arrives at
+    // once and the rebuild must finish regardless of the stale tour
+    // completions. The tour resumes once the array is whole again.
+    let t = trace_of(&[(0, 0, 8192, ReqKind::Read)]);
+    let mut cfg = ArrayConfig::small_test(ParityPolicy::IdleOnly);
+    cfg.scrub.enabled = true;
+    cfg.scrub.iops_budget = 1_000.0;
+    let mut opts = degraded_opts(1, 0);
+    opts.fail_disk = Some((1, mid_batch_failure(&cfg, &t, 3)));
+    opts.spare_delay = Some(SimDuration::ZERO);
+
+    let r = run_trace(&cfg, &t, &opts);
+    let rebuilt = r.rebuilt_at.expect("rebuild never finished");
+    assert!(r.end > rebuilt, "the tour did not resume after the rebuild");
+    assert!(r.metrics.scrub_tours >= 1);
+    assert_eq!(
+        serde_json::to_string(&r).unwrap(),
+        serde_json::to_string(&run_trace(&cfg, &t, &opts)).unwrap()
+    );
 }

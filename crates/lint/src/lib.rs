@@ -74,7 +74,6 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/integrity.rs",
     "crates/disk/src/sched.rs",
     "crates/sim/src/queue.rs",
-    "crates/sim/src/queue/calendar.rs",
 ];
 
 /// The sanctioned deterministic-hasher wrapper module (defines the

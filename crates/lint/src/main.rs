@@ -53,7 +53,7 @@ const EXPLANATIONS: &[(&str, &str, &str)] = &[
     (
         "d3",
         "Panic-freedom budget in the event-loop hot path (controller, integrity, \
-         sched, queue, calendar): .unwrap()/.expect(), panic!-family macros and \
+         sched, queue): .unwrap()/.expect(), panic!-family macros and \
          slice indexing are flagged unless the invariant is annotated. A panic in \
          the hot path kills every parallel job sharing the process.",
         "crates/core/src/controller.rs:210: [d3] `.unwrap()` in the event-loop hot \
@@ -78,7 +78,7 @@ const EXPLANATIONS: &[(&str, &str, &str)] = &[
          hand-written Debug impl can round away distinguishing bits (this repo's \
          SimTime once printed {:.3}s, merging configs that differed below a \
          millisecond). Reviewed-injective manual impls carry `lint:allow(d5)`.",
-        "crates/core/src/config.rs:61: [d5] field `scheduler` of `ArrayConfig` is \
+        "crates/core/src/config.rs:56: [d5] field `integrity` of `ArrayConfig` is \
          never referenced in `cache_encoding()` — an un-salted field means two \
          different configs share a cache key (...)",
     ),

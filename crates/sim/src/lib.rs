@@ -39,7 +39,7 @@ pub use dist::{
     Bernoulli, Empirical, Exponential, Hyperexponential, LogNormal, Pareto, Uniform, Zipf,
 };
 pub use hash::{FxBuildHasher, FxHashMap, U64Set};
-pub use queue::{EventId, EventQueue, SchedulerKind};
+pub use queue::{EventId, EventQueue};
 pub use rng::SplitMix64;
 pub use stats::{geometric_mean, Histogram, OnlineStats, TimeWeighted};
 pub use time::{SimDuration, SimTime};

@@ -1,24 +1,10 @@
-//! Deterministic event queue with cancellation and pluggable schedulers.
+//! Deterministic event queue with cancellation.
 //!
-//! The queue orders events by `(time, insertion sequence)`: events
-//! scheduled for the same instant are delivered in the order they were
-//! scheduled. This tie-break is what makes whole-simulation runs
-//! reproducible — a plain priority structure over time alone would
+//! The queue is a binary heap ordered by `(time, insertion sequence)`:
+//! events scheduled for the same instant are delivered in the order
+//! they were scheduled. This tie-break is what makes whole-simulation
+//! runs reproducible — a plain priority structure over time alone would
 //! deliver same-time events in an unspecified order.
-//!
-//! Two interchangeable scheduler backends implement that contract
-//! (selected by [`SchedulerKind`]):
-//!
-//! * **Heap** — a `BinaryHeap` paying O(log n) per schedule/pop. The
-//!   always-available fallback and the default.
-//! * **Calendar** — a Brown-style bucketed time wheel
-//!   ([`calendar`]), amortised O(1) per operation for the
-//!   near-uniform event spacing disk traces produce.
-//!
-//! Because `(time, seq)` is a *total* order (sequences are unique), the
-//! delivered event sequence is identical whichever backend is chosen —
-//! the determinism tests diff whole serialized runs across the two to
-//! enforce exactly that.
 //!
 //! Cancellation is lazy and `O(1)`: the queue tracks the set of
 //! *pending* ids (scheduled, not yet delivered or cancelled), and
@@ -30,9 +16,8 @@
 //! re-armed frequently (the idle detector) rely on this being cheap.
 //!
 //! [`EventQueue::schedule_batch`] admits a burst of events in one
-//! maintenance pass — a single heapify-and-merge for the heap, a single
-//! resize check for the calendar — instead of paying per-event
-//! maintenance; the controller uses it for multi-disk I/O bursts.
+//! heapify-and-merge instead of a sift per event; the controller uses
+//! it for multi-disk I/O bursts.
 
 use std::cmp::Ordering;
 use std::cmp::Reverse;
@@ -41,45 +26,9 @@ use std::collections::BinaryHeap;
 use crate::hash::U64Set;
 use crate::time::SimTime;
 
-pub mod calendar;
-
 /// Opaque handle identifying a scheduled event, used to cancel it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EventId(u64);
-
-/// Which scheduler backend an [`EventQueue`] runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum SchedulerKind {
-    /// Binary heap: O(log n) per op, the always-available fallback.
-    #[default]
-    Heap,
-    /// Calendar queue: amortised O(1) bucketed time wheel.
-    Calendar,
-}
-
-impl SchedulerKind {
-    /// Both backends, heap first.
-    pub fn all() -> [SchedulerKind; 2] {
-        [SchedulerKind::Heap, SchedulerKind::Calendar]
-    }
-
-    /// CLI/JSON name: `"heap"` or `"calendar"`.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedulerKind::Heap => "heap",
-            SchedulerKind::Calendar => "calendar",
-        }
-    }
-
-    /// Parses a CLI/JSON name produced by [`SchedulerKind::name`].
-    pub fn parse(name: &str) -> Option<SchedulerKind> {
-        match name {
-            "heap" => Some(SchedulerKind::Heap),
-            "calendar" => Some(SchedulerKind::Calendar),
-            _ => None,
-        }
-    }
-}
 
 /// Stored entry: ordered by time, then by insertion sequence.
 struct Entry<E> {
@@ -108,30 +57,6 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// The scheduler backend. The wrapper owns the pending-id set, the
-/// sequence counter, and the tombstone-sweep accounting; the backend
-/// only stores entries and surfaces them in `(time, seq)` order.
-enum Imp<E> {
-    Heap {
-        heap: BinaryHeap<Reverse<Entry<E>>>,
-        /// Reusable staging buffer for `schedule_batch`, so a burst
-        /// costs one heapify-and-merge and no allocation at steady
-        /// state.
-        staged: Vec<Reverse<Entry<E>>>,
-    },
-    Calendar(calendar::Calendar<E>),
-}
-
-impl<E> Imp<E> {
-    /// Stored entries, tombstones included.
-    fn stored_len(&self) -> usize {
-        match self {
-            Imp::Heap { heap, .. } => heap.len(),
-            Imp::Calendar(c) => c.len(),
-        }
-    }
-}
-
 /// A deterministic time-ordered event queue.
 ///
 /// # Examples
@@ -147,24 +72,14 @@ impl<E> Imp<E> {
 /// assert_eq!(q.pop(), Some((SimTime::from_millis(1), "io")));
 /// assert_eq!(q.pop(), None);
 /// ```
-///
-/// The calendar backend delivers the identical sequence:
-///
-/// ```
-/// use afraid_sim::queue::{EventQueue, SchedulerKind};
-/// use afraid_sim::time::SimTime;
-///
-/// let mut q = EventQueue::with_scheduler(SchedulerKind::Calendar);
-/// q.schedule(SimTime::from_millis(2), "second");
-/// q.schedule(SimTime::from_millis(1), "first");
-/// assert_eq!(q.pop(), Some((SimTime::from_millis(1), "first")));
-/// ```
 pub struct EventQueue<E> {
-    imp: Imp<E>,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
+    /// Reusable staging buffer for `schedule_batch`, so a burst costs
+    /// one heapify-and-merge and no allocation at steady state.
+    staged: Vec<Reverse<Entry<E>>>,
     /// Ids that are scheduled and neither delivered nor cancelled.
-    /// Invariant: `pending` is a subset of the ids stored in the
-    /// backend, so `stored_len() - pending.len()` is the live tombstone
-    /// count.
+    /// Invariant: `pending` is a subset of the ids stored in the heap,
+    /// so `heap.len() - pending.len()` is the live tombstone count.
     pending: U64Set,
     next_seq: u64,
     /// Tombstoned entries swept so far. Every cancelled event is
@@ -181,47 +96,28 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
-    /// Creates an empty queue on the default heap backend.
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::with_scheduler(SchedulerKind::Heap)
-    }
-
-    /// Creates an empty queue on the chosen scheduler backend.
-    pub fn with_scheduler(kind: SchedulerKind) -> Self {
-        let imp = match kind {
-            SchedulerKind::Heap => Imp::Heap {
-                heap: BinaryHeap::new(),
-                staged: Vec::new(),
-            },
-            SchedulerKind::Calendar => Imp::Calendar(calendar::Calendar::new()),
-        };
         EventQueue {
-            imp,
+            heap: BinaryHeap::new(),
+            staged: Vec::new(),
             pending: U64Set::default(),
             next_seq: 0,
             scan_ops: 0,
         }
     }
 
-    /// Which backend this queue runs on.
-    pub fn scheduler(&self) -> SchedulerKind {
-        match self.imp {
-            Imp::Heap { .. } => SchedulerKind::Heap,
-            Imp::Calendar(_) => SchedulerKind::Calendar,
-        }
-    }
-
-    /// Asserts the pending-set/backend consistency invariant (debug
-    /// builds only): every pending id has a stored entry, so the
-    /// tombstone count `stored_len() - pending.len()` is never
-    /// negative. Checked at every mutation; a violation would mean a
-    /// live event can never fire.
+    /// Asserts the pending-set/heap consistency invariant (debug builds
+    /// only): every pending id has a stored entry, so the tombstone
+    /// count `heap.len() - pending.len()` is never negative. Checked at
+    /// every mutation; a violation would mean a live event can never
+    /// fire.
     fn check_invariant(&self) {
         debug_assert!(
-            self.pending.len() <= self.imp.stored_len(),
+            self.pending.len() <= self.heap.len(),
             "event queue invariant broken: {} pending ids but only {} stored entries",
             self.pending.len(),
-            self.imp.stored_len()
+            self.heap.len()
         );
     }
 
@@ -231,13 +127,7 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pending.insert(seq);
-        match &mut self.imp {
-            Imp::Heap { heap, .. } => heap.push(Reverse(Entry { time, seq, event })),
-            Imp::Calendar(c) => {
-                c.insert(Entry { time, seq, event });
-                c.maybe_resize();
-            }
-        }
+        self.heap.push(Reverse(Entry { time, seq, event }));
         self.check_invariant();
         EventId(seq)
     }
@@ -247,38 +137,24 @@ impl<E> EventQueue<E> {
     /// Sequence numbers are assigned in iteration order, so the
     /// delivered order is exactly what a loop of [`EventQueue::schedule`]
     /// calls would produce — batching is a cost optimisation, never a
-    /// semantic change. The heap pays one heapify-and-merge for the
-    /// whole burst instead of a per-event sift; the calendar pays one
-    /// resize check.
+    /// semantic change: one heapify-and-merge for the whole burst
+    /// instead of a per-event sift.
     pub fn schedule_batch<I>(&mut self, items: I)
     where
         I: IntoIterator<Item = (SimTime, E)>,
     {
-        match &mut self.imp {
-            Imp::Heap { heap, staged } => {
-                for (time, event) in items {
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.pending.insert(seq);
-                    staged.push(Reverse(Entry { time, seq, event }));
-                }
-                // One maintenance pass: heapify the staged run in place
-                // and merge (std's `append` sifts or rebuilds, whichever
-                // is cheaper). The buffer is recycled afterwards.
-                let mut batch = BinaryHeap::from(std::mem::take(staged));
-                heap.append(&mut batch);
-                *staged = batch.into_vec();
-            }
-            Imp::Calendar(c) => {
-                for (time, event) in items {
-                    let seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.pending.insert(seq);
-                    c.insert(Entry { time, seq, event });
-                }
-                c.maybe_resize();
-            }
+        for (time, event) in items {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.pending.insert(seq);
+            self.staged.push(Reverse(Entry { time, seq, event }));
         }
+        // One maintenance pass: heapify the staged run in place and
+        // merge (std's `append` sifts or rebuilds, whichever is
+        // cheaper). The buffer is recycled afterwards.
+        let mut batch = BinaryHeap::from(std::mem::take(&mut self.staged));
+        self.heap.append(&mut batch);
+        self.staged = batch.into_vec();
         self.check_invariant();
     }
 
@@ -297,11 +173,7 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest live event, skipping tombstones.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         loop {
-            let popped = match &mut self.imp {
-                Imp::Heap { heap, .. } => heap.pop().map(|Reverse(e)| e),
-                Imp::Calendar(c) => c.pop_min(),
-            };
-            let Some(entry) = popped else {
+            let Some(Reverse(entry)) = self.heap.pop() else {
                 self.check_invariant();
                 return None;
             };
@@ -316,16 +188,13 @@ impl<E> EventQueue<E> {
 
     /// The time of the earliest live event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Fast path: no tombstones anywhere in the backend, nothing to
+        // Fast path: no tombstones anywhere in the heap, nothing to
         // drain. This is the common case — cancels are rare relative to
         // schedules in every workload we model.
-        if self.imp.stored_len() != self.pending.len() {
+        if self.heap.len() != self.pending.len() {
             self.drain_tombstones();
         }
-        match &mut self.imp {
-            Imp::Heap { heap, .. } => heap.peek().map(|Reverse(e)| e.time),
-            Imp::Calendar(c) => c.peek_min().map(|(t, _)| t),
-        }
+        self.heap.peek().map(|Reverse(e)| e.time)
     }
 
     /// Number of live (not cancelled) events.
@@ -348,25 +217,12 @@ impl<E> EventQueue<E> {
     /// Discards tombstoned entries off the front so `peek` sees a live
     /// entry.
     fn drain_tombstones(&mut self) {
-        match &mut self.imp {
-            Imp::Heap { heap, .. } => {
-                while let Some(Reverse(entry)) = heap.peek() {
-                    if self.pending.contains(&entry.seq) {
-                        break;
-                    }
-                    heap.pop();
-                    self.scan_ops += 1;
-                }
+        while let Some(Reverse(entry)) = self.heap.peek() {
+            if self.pending.contains(&entry.seq) {
+                break;
             }
-            Imp::Calendar(c) => {
-                while let Some((_, seq)) = c.peek_min() {
-                    if self.pending.contains(&seq) {
-                        break;
-                    }
-                    c.pop_min();
-                    self.scan_ops += 1;
-                }
-            }
+            self.heap.pop();
+            self.scan_ops += 1;
         }
         self.check_invariant();
     }
@@ -377,156 +233,193 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
 
-    /// Runs a test body against both scheduler backends.
-    fn on_both<F: Fn(EventQueue<i64>, SchedulerKind)>(f: F) {
-        for kind in SchedulerKind::all() {
-            f(EventQueue::with_scheduler(kind), kind);
-        }
+    fn drain(q: &mut EventQueue<i64>) -> Vec<i64> {
+        std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect()
     }
 
     #[test]
     fn orders_by_time() {
-        on_both(|mut q, kind| {
-            q.schedule(SimTime::from_millis(3), 3);
-            q.schedule(SimTime::from_millis(1), 1);
-            q.schedule(SimTime::from_millis(2), 2);
-            let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![1, 2, 3], "{kind:?}");
-        });
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(3), 3);
+        q.schedule(SimTime::from_millis(1), 1);
+        q.schedule(SimTime::from_millis(2), 2);
+        assert_eq!(drain(&mut q), vec![1, 2, 3]);
     }
 
     #[test]
     fn same_time_fifo() {
-        on_both(|mut q, kind| {
-            let t = SimTime::from_millis(1);
-            for i in 0..100 {
-                q.schedule(t, i);
-            }
-            let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, (0..100).collect::<Vec<_>>(), "{kind:?}");
-        });
+        let mut q = EventQueue::new();
+        let t = SimTime::from_millis(1);
+        for i in 0..100 {
+            q.schedule(t, i);
+        }
+        assert_eq!(drain(&mut q), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn batch_matches_loop_order() {
-        on_both(|mut q, kind| {
-            q.schedule(SimTime::from_millis(5), -1);
-            q.schedule_batch([
-                (SimTime::from_millis(2), 2),
-                (SimTime::from_millis(1), 1),
-                (SimTime::from_millis(2), 3),
-                (SimTime::from_millis(9), 4),
-            ]);
-            q.schedule(SimTime::from_millis(2), 5);
-            let order: Vec<i64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            // Same-instant ties resolve in submission order across the
-            // batch boundary: 2 and 3 (batched) before 5 (scheduled).
-            assert_eq!(order, vec![1, 2, 3, 5, -1, 4], "{kind:?}");
-        });
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_millis(5), -1);
+        q.schedule_batch([
+            (SimTime::from_millis(2), 2),
+            (SimTime::from_millis(1), 1),
+            (SimTime::from_millis(2), 3),
+            (SimTime::from_millis(9), 4),
+        ]);
+        q.schedule(SimTime::from_millis(2), 5);
+        // Same-instant ties resolve in submission order across the
+        // batch boundary: 2 and 3 (batched) before 5 (scheduled).
+        assert_eq!(drain(&mut q), vec![1, 2, 3, 5, -1, 4]);
     }
 
     #[test]
     fn empty_batch_is_a_noop() {
-        on_both(|mut q, kind| {
-            q.schedule_batch(std::iter::empty());
-            assert!(q.is_empty(), "{kind:?}");
-            assert_eq!(q.pop(), None, "{kind:?}");
-        });
+        let mut q: EventQueue<i64> = EventQueue::new();
+        q.schedule_batch(std::iter::empty());
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn cancel_removes_event() {
-        on_both(|mut q, kind| {
-            let a = q.schedule(SimTime::from_millis(1), 1);
-            q.schedule(SimTime::from_millis(2), 2);
-            assert!(q.cancel(a));
-            assert_eq!(q.len(), 1, "{kind:?}");
-            assert_eq!(q.pop(), Some((SimTime::from_millis(2), 2)), "{kind:?}");
-            assert!(q.is_empty(), "{kind:?}");
-        });
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_millis(1), 1);
+        q.schedule(SimTime::from_millis(2), 2);
+        assert!(q.cancel(a));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(2), 2)));
+        assert!(q.is_empty());
     }
 
     #[test]
     fn cancel_after_pop_is_noop() {
-        on_both(|mut q, _| {
-            let a = q.schedule(SimTime::from_millis(1), 1);
-            assert!(q.pop().is_some());
-            assert!(!q.cancel(a));
-            assert!(q.is_empty());
-        });
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_millis(1), 1);
+        assert!(q.pop().is_some());
+        assert!(!q.cancel(a));
+        assert!(q.is_empty());
     }
 
     #[test]
     fn double_cancel_is_noop() {
-        on_both(|mut q, _| {
-            let a = q.schedule(SimTime::from_millis(1), 1);
-            assert!(q.cancel(a));
-            assert!(!q.cancel(a));
-            assert_eq!(q.pop(), None);
-        });
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_millis(1), 1);
+        assert!(q.cancel(a));
+        assert!(!q.cancel(a));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn cancel_unknown_id_is_noop() {
-        on_both(|mut q, _| {
-            assert!(!q.cancel(EventId(42)));
-        });
+        let mut q: EventQueue<i64> = EventQueue::new();
+        assert!(!q.cancel(EventId(42)));
     }
 
     #[test]
     fn peek_skips_tombstones() {
-        on_both(|mut q, kind| {
-            let a = q.schedule(SimTime::from_millis(1), 1);
-            q.schedule(SimTime::from_millis(2), 2);
-            q.cancel(a);
-            assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)), "{kind:?}");
-        });
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_millis(1), 1);
+        q.schedule(SimTime::from_millis(2), 2);
+        q.cancel(a);
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
     }
 
     #[test]
     fn peek_empty() {
-        on_both(|mut q, _| {
-            assert_eq!(q.peek_time(), None);
-        });
+        let mut q: EventQueue<i64> = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
     fn len_tracks_live_entries() {
-        on_both(|mut q, kind| {
-            let ids: Vec<_> = (0..10)
-                .map(|i| q.schedule(SimTime::from_millis(i as u64), i))
-                .collect();
-            assert_eq!(q.len(), 10, "{kind:?}");
-            q.cancel(ids[4]);
-            q.cancel(ids[7]);
-            assert_eq!(q.len(), 8, "{kind:?}");
-            let mut popped = 0;
-            while q.pop().is_some() {
-                popped += 1;
-            }
-            assert_eq!(popped, 8, "{kind:?}");
-        });
+        let mut q = EventQueue::new();
+        let ids: Vec<_> = (0..10)
+            .map(|i| q.schedule(SimTime::from_millis(i as u64), i))
+            .collect();
+        assert_eq!(q.len(), 10);
+        q.cancel(ids[4]);
+        q.cancel(ids[7]);
+        assert_eq!(q.len(), 8);
+        assert_eq!(drain(&mut q).len(), 8);
     }
 
     #[test]
     fn interleaved_schedule_pop() {
-        on_both(|mut q, kind| {
-            let mut now = SimTime::ZERO;
-            let step = SimDuration::from_millis(1);
-            q.schedule(now + step, 0);
-            let mut delivered = Vec::new();
-            while let Some((t, e)) = q.pop() {
-                now = t;
-                delivered.push(e);
-                if e < 5 {
-                    // Each event schedules its successor, like a timer
-                    // chain.
-                    q.schedule(now + step, e + 1);
+        let mut q = EventQueue::new();
+        let mut now = SimTime::ZERO;
+        let step = SimDuration::from_millis(1);
+        q.schedule(now + step, 0);
+        let mut delivered = Vec::new();
+        while let Some((t, e)) = q.pop() {
+            now = t;
+            delivered.push(e);
+            if e < 5 {
+                // Each event schedules its successor, like a timer
+                // chain.
+                q.schedule(now + step, e + 1);
+            }
+        }
+        assert_eq!(delivered, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(now, SimTime::from_millis(6));
+    }
+
+    /// Model check: a random 20k-op program of schedules, batches,
+    /// cancels, peeks and pops, with clustered times so same-instant
+    /// ties are common, behaves exactly like a naive list that always
+    /// delivers its `(time, sequence)` minimum.
+    #[test]
+    fn matches_a_naive_model_on_random_programs() {
+        use crate::rng::SplitMix64;
+
+        let mut q = EventQueue::new();
+        let mut model: Vec<(u64, u64, i64)> = Vec::new();
+        let mut ids: Vec<(EventId, u64)> = Vec::new();
+        let mut rng = SplitMix64::new(0xAF1D_0012);
+        let (mut seq, mut now) = (0u64, 0u64);
+        for i in 0..20_000i64 {
+            let time = |rng: &mut SplitMix64| now + (rng.next_u64() % 8) * 250;
+            match rng.next_u64() % 10 {
+                0..=3 => {
+                    let t = time(&mut rng);
+                    ids.push((q.schedule(SimTime::from_nanos(t), i), seq));
+                    model.push((t, seq, i));
+                    seq += 1;
+                }
+                4 => {
+                    let burst: Vec<u64> = (0..i % 7).map(|_| time(&mut rng)).collect();
+                    q.schedule_batch(burst.iter().map(|&t| (SimTime::from_nanos(t), i)));
+                    for t in burst {
+                        model.push((t, seq, i));
+                        seq += 1;
+                    }
+                }
+                5 | 6 if !ids.is_empty() => {
+                    let (id, s) = ids.swap_remove(rng.next_u64() as usize % ids.len());
+                    let live = model.iter().position(|e| e.1 == s);
+                    assert_eq!(q.cancel(id), live.is_some(), "op {i}");
+                    if let Some(p) = live {
+                        model.swap_remove(p);
+                    }
+                }
+                7 => {
+                    let min = model.iter().map(|e| (e.0, e.1)).min();
+                    assert_eq!(q.peek_time().map(|t| t.as_nanos()), min.map(|m| m.0));
+                }
+                _ => {
+                    let min = (0..model.len()).min_by_key(|&p| (model[p].0, model[p].1));
+                    let want = min.map(|p| model.swap_remove(p));
+                    assert_eq!(
+                        q.pop(),
+                        want.map(|(t, _, v)| (SimTime::from_nanos(t), v)),
+                        "op {i}"
+                    );
+                    if let Some((t, _, _)) = want {
+                        now = t;
+                    }
                 }
             }
-            assert_eq!(delivered, vec![0, 1, 2, 3, 4, 5], "{kind:?}");
-            assert_eq!(now, SimTime::from_millis(6), "{kind:?}");
-        });
+            assert_eq!(q.len(), model.len(), "op {i}");
+        }
     }
 
     /// The cost-model regression test: 100k schedule/cancel pairs
@@ -538,92 +431,31 @@ mod tests {
     #[test]
     fn cancel_heavy_workload_stays_cheap() {
         const PAIRS: u64 = 100_000;
-        on_both(|mut q, kind| {
-            // A deep base of long-lived events.
-            for i in 0..1_000u64 {
-                q.schedule(SimTime::from_millis(10_000_000 + i), -1);
-            }
-            for i in 0..PAIRS {
-                // Re-armed timer pattern: schedule near the front, then
-                // cancel before it fires.
-                let id = q.schedule(SimTime::from_millis(i), i as i64);
-                assert!(q.cancel(id));
-                if i % 16 == 0 {
-                    // Interleave peeks so tombstone draining participates.
-                    assert_eq!(
-                        q.peek_time(),
-                        Some(SimTime::from_millis(10_000_000)),
-                        "{kind:?}"
-                    );
-                }
-            }
-            assert_eq!(q.len(), 1_000, "{kind:?}");
-            // Each cancelled entry is swept at most once, ever.
-            assert!(
-                q.scan_ops() <= PAIRS,
-                "{kind:?}: cancel-heavy workload did linear work: {} scan ops for {} cancels",
-                q.scan_ops(),
-                PAIRS
-            );
-            // Delivery is unaffected: all base events still pop, in order.
-            let mut popped = 0;
-            while q.pop().is_some() {
-                popped += 1;
-            }
-            assert_eq!(popped, 1_000, "{kind:?}");
-            assert_eq!(q.scan_ops(), PAIRS, "{kind:?}");
-        });
-    }
-
-    /// Deterministic churn: both backends deliver the identical event
-    /// sequence on a 100k-op interleaved schedule/cancel/pop program
-    /// with clustered (same-instant) times.
-    #[test]
-    fn backends_agree_on_churn_program() {
-        use crate::rng::SplitMix64;
-
-        let mut heap = EventQueue::with_scheduler(SchedulerKind::Heap);
-        let mut cal = EventQueue::with_scheduler(SchedulerKind::Calendar);
-        let mut rng = SplitMix64::new(0xAF1D_0009);
-        let mut now = 0u64;
-        let mut live_ids: Vec<(EventId, EventId)> = Vec::new();
-        for i in 0..100_000u64 {
-            match rng.next_u64() % 10 {
-                // Schedule (60%): clustered times so ties are common.
-                0..=5 => {
-                    let dt = (rng.next_u64() % 8) * 250;
-                    let t = SimTime::from_nanos(now + dt);
-                    let ih = heap.schedule(t, i as i64);
-                    let ic = cal.schedule(t, i as i64);
-                    live_ids.push((ih, ic));
-                }
-                // Cancel (20%).
-                6 | 7 => {
-                    if !live_ids.is_empty() {
-                        let k = (rng.next_u64() as usize) % live_ids.len();
-                        let (ih, ic) = live_ids.swap_remove(k);
-                        assert_eq!(heap.cancel(ih), cal.cancel(ic));
-                    }
-                }
-                // Pop (20%).
-                _ => {
-                    let h = heap.pop();
-                    let c = cal.pop();
-                    assert_eq!(h, c, "divergence at op {i}");
-                    if let Some((t, _)) = h {
-                        now = t.as_nanos();
-                    }
-                }
-            }
-            assert_eq!(heap.len(), cal.len());
+        let mut q = EventQueue::new();
+        // A deep base of long-lived events.
+        for i in 0..1_000u64 {
+            q.schedule(SimTime::from_millis(10_000_000 + i), -1);
         }
-        loop {
-            let h = heap.pop();
-            let c = cal.pop();
-            assert_eq!(h, c, "divergence in final drain");
-            if h.is_none() {
-                break;
+        for i in 0..PAIRS {
+            // Re-armed timer pattern: schedule near the front, then
+            // cancel before it fires.
+            let id = q.schedule(SimTime::from_millis(i), i as i64);
+            assert!(q.cancel(id));
+            if i % 16 == 0 {
+                // Interleave peeks so tombstone draining participates.
+                assert_eq!(q.peek_time(), Some(SimTime::from_millis(10_000_000)));
             }
         }
+        assert_eq!(q.len(), 1_000);
+        // Each cancelled entry is swept at most once, ever.
+        assert!(
+            q.scan_ops() <= PAIRS,
+            "cancel-heavy workload did linear work: {} scan ops for {} cancels",
+            q.scan_ops(),
+            PAIRS
+        );
+        // Delivery is unaffected: all base events still pop, in order.
+        assert_eq!(drain(&mut q).len(), 1_000);
+        assert_eq!(q.scan_ops(), PAIRS);
     }
 }

@@ -92,9 +92,6 @@ RUN OPTIONS:
     --verify-reads        checksum-verify every read and scrub pass;
                           detected corruption is repaired from parity or
                           declared (without this, corrupt reads are silent)
-    --scheduler <name>    event-scheduler backend: heap | calendar
-                          (default: heap); a pure performance switch —
-                          both deliver bit-identical results
     --json                emit the full result as JSON
 ";
 
@@ -445,7 +442,6 @@ fn run(args: &[String]) -> ExitCode {
     let mut scrub = afraid::config::ScrubConfig::default();
     let mut faults = afraid::config::FaultConfig::default();
     let mut integrity = afraid::config::IntegrityConfig::default();
-    let mut scheduler = afraid_sim::queue::SchedulerKind::default();
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -602,18 +598,6 @@ fn run(args: &[String]) -> ExitCode {
                 integrity.verify_reads = true;
                 integrity.verify_scrub = true;
             }
-            "--scheduler" => {
-                let Some(v) = value("--scheduler") else {
-                    return ExitCode::FAILURE;
-                };
-                match afraid_sim::queue::SchedulerKind::parse(&v) {
-                    Some(k) => scheduler = k,
-                    None => {
-                        eprintln!("unknown scheduler '{v}' (want heap | calendar)");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "--json" => json = true,
             other => {
                 eprintln!("unknown option '{other}'");
@@ -628,7 +612,6 @@ fn run(args: &[String]) -> ExitCode {
     cfg.scrub = scrub;
     cfg.faults = faults;
     cfg.integrity = integrity;
-    cfg.scheduler = scheduler;
     // Checksums are kept against the intended contents, so injection
     // and verification both need the shadow content model.
     if cfg.integrity.active() {

@@ -67,7 +67,7 @@ fn d5_canary_unsalted_field_is_exactly_one_finding() {
             pub disks: u32,
             pub stripe_unit_bytes: u64,
             pub idle_delay: u64,
-            pub scheduler: u8,
+            pub read_ahead: u8,
         }
         impl ArrayConfig {
             pub fn cache_encoding(&self) -> String {
@@ -86,7 +86,7 @@ fn d5_canary_unsalted_field_is_exactly_one_finding() {
     );
     assert_eq!(findings[0].rule, "d5");
     assert!(
-        findings[0].message.contains("`scheduler`"),
+        findings[0].message.contains("`read_ahead`"),
         "finding should name the dropped field: {}",
         findings[0].message
     );

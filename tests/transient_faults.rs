@@ -7,7 +7,7 @@
 //! counts pins its own seed instead.
 
 use afraid::config::{ArrayConfig, FailSlowConfig};
-use afraid::driver::{run_trace, RunOptions, RunResult};
+use afraid::driver::{run_to_cut, run_trace, RunOptions, RunResult};
 use afraid::policy::ParityPolicy;
 use afraid_sim::time::{SimDuration, SimTime};
 use afraid_trace::record::{IoRecord, ReqKind, Trace};
@@ -180,4 +180,114 @@ fn seeded_fault_runs_are_reproducible() {
     let b = run_trace(&cfg, &trace, &RunOptions::default());
     assert_eq!(snapshot(&a), snapshot(&b));
     assert!(a.metrics.media_errors > 0);
+}
+
+/// Asserts the array ends a run fully redundant: no dead disk, no
+/// marked stripe, and every stripe's shadow parity equal to the XOR of
+/// its data.
+fn assert_ends_redundant(cfg: &ArrayConfig, trace: &Trace, opts: &RunOptions) {
+    let end = run_to_cut(cfg, trace, opts, u64::MAX).image;
+    assert_eq!(end.failed_disk, None, "a disk is still dead at the end");
+    assert_eq!(
+        end.marks.marked_count(),
+        0,
+        "stripes still marked at the end"
+    );
+    let stripes = end.shadow.layout().stripes();
+    assert!(
+        (0..stripes).all(|s| end.shadow.parity_consistent(s)),
+        "a stripe ends with inconsistent parity"
+    );
+}
+
+/// Torture rates with a one-retry budget exhaust background I/Os of
+/// all three batch jobs while scrub, tour and a spare rebuild are all
+/// live: failed scrub stripes stay marked for a later pass, a failed
+/// rebuild batch is redone, tour repairs are best-effort. The shadow
+/// model checks every repair and the loss assessment, and the run must
+/// still end fully redundant.
+#[test]
+fn background_retry_exhaustion_still_ends_redundant() {
+    let trace = busy_trace(20);
+    let mut cfg = ArrayConfig::small_test(ParityPolicy::IdleOnly);
+    cfg.scrub.enabled = true;
+    cfg.scrub.iops_budget = 1_000.0;
+    cfg.scrub.latent_rate_per_disk_hour = 20.0;
+    cfg.faults.media_error_per_io = 0.2;
+    cfg.faults.max_retries = 1;
+    cfg.faults.seed = seed();
+    let opts = RunOptions {
+        fail_disk: Some((2, SimTime::from_secs(8))),
+        continue_degraded: true,
+        spare_delay: Some(SimDuration::from_secs(1)),
+        ..RunOptions::default()
+    };
+
+    let r = run_trace(&cfg, &trace, &opts);
+    let m = &r.metrics;
+    assert_eq!(m.requests as usize, trace.len());
+    assert!(m.io_exhausted > 0, "no retry budget ran out");
+    assert!(m.io.scrub_write > 0, "the parity scrub never ran");
+    assert!(m.io.tour_read > 0, "the tour never ran");
+    assert!(r.rebuilt_at.is_some(), "the rebuild never finished");
+    assert_ends_redundant(&cfg, &trace, &opts);
+}
+
+/// A marking-memory failure marks every stripe; with scrub I/Os
+/// running out of retries, the stripes they cover stay marked and a
+/// later pass settles them, so the sweep still reprotects the array.
+#[test]
+fn nvram_sweep_outlasts_scrub_retry_exhaustion() {
+    let trace = busy_trace(10);
+    let mut cfg = ArrayConfig::small_test(ParityPolicy::IdleOnly);
+    cfg.faults.media_error_per_io = 0.2;
+    cfg.faults.max_retries = 1;
+    cfg.faults.seed = seed();
+    let opts = RunOptions {
+        fail_nvram: Some(SimTime::from_secs(2)),
+        ..RunOptions::default()
+    };
+
+    let r = run_trace(&cfg, &trace, &opts);
+    assert!(r.metrics.io_exhausted > 0, "no retry budget ran out");
+    assert!(r.reprotected_at.is_some(), "the NVRAM sweep never finished");
+    assert_ends_redundant(&cfg, &trace, &opts);
+}
+
+/// A rebuild I/O that runs out of retries makes its whole batch redo.
+/// With no retries allowed every faulted I/O exhausts at once, and each
+/// batch attempt writes the spare exactly once, so redos show up as
+/// spare writes beyond the fault-free sweep's one per batch.
+#[test]
+fn rebuild_redoes_batches_whose_io_ran_out_of_retries() {
+    let mut trace = Trace::new("rebuild", CAP);
+    trace.push(IoRecord {
+        time: SimTime::ZERO,
+        offset: 0,
+        bytes: 8192,
+        kind: ReqKind::Write,
+    });
+    let opts = RunOptions {
+        fail_disk: Some((1, SimTime::from_secs(2))),
+        continue_degraded: true,
+        spare_delay: Some(SimDuration::from_secs(1)),
+        ..RunOptions::default()
+    };
+    let clean_cfg = ArrayConfig::small_test(ParityPolicy::IdleOnly);
+    let mut cfg = clean_cfg.clone();
+    cfg.faults.media_error_per_io = 0.05;
+    cfg.faults.max_retries = 0;
+    cfg.faults.seed = seed();
+
+    let clean = run_trace(&clean_cfg, &trace, &opts);
+    let r = run_trace(&cfg, &trace, &opts);
+    assert!(r.metrics.io_exhausted > 0, "no retry budget ran out");
+    assert!(r.rebuilt_at.is_some(), "the rebuild never finished");
+    assert!(
+        r.metrics.io.rebuild_write > clean.metrics.io.rebuild_write,
+        "no rebuild batch was redone: {} spare writes vs {} fault-free",
+        r.metrics.io.rebuild_write,
+        clean.metrics.io.rebuild_write
+    );
+    assert_ends_redundant(&cfg, &trace, &opts);
 }
