@@ -206,6 +206,11 @@ impl ShadowArray {
             "shadow layout mismatch"
         );
         for stripe in 0..self.layout.stripes() {
+            // Equal rows hold equal data units; most rows of a judged
+            // pair are untouched, so skip them without per-unit work.
+            if self.row(stripe) == other.row(stripe) {
+                continue;
+            }
             for unit in 0..self.layout.data_units() {
                 if skip.contains(&(stripe, unit)) {
                     continue;
@@ -418,6 +423,59 @@ mod tests {
         c.set_word(9, pd, 0xfeed);
         assert_eq!(a.data_divergence(&c, &BTreeSet::new()), None);
         assert!(!c.parity_consistent(9));
+    }
+
+    /// The row-equality shortcut returns exactly what a plain
+    /// per-unit scan returns, on seeded random arrays whose diverging
+    /// units fall both inside and outside the skip set, and whose rows
+    /// sometimes differ only in parity.
+    #[test]
+    fn data_divergence_matches_the_per_unit_scan() {
+        use afraid_sim::rng::SplitMix64;
+
+        fn per_unit_scan(
+            a: &ShadowArray,
+            b: &ShadowArray,
+            skip: &BTreeSet<(u64, u32)>,
+        ) -> Option<(u64, u32)> {
+            let l = a.layout();
+            (0..l.stripes())
+                .flat_map(|s| (0..l.data_units()).map(move |u| (s, u)))
+                .find(|&(s, u)| !skip.contains(&(s, u)) && a.data_word(s, u) != b.data_word(s, u))
+        }
+
+        let mut rng = SplitMix64::new(0x5AD0_0013);
+        let (mut found, mut clean) = (0, 0);
+        for _ in 0..400 {
+            let a = ShadowArray::new(layout());
+            let mut b = a.clone();
+            let mut skip = BTreeSet::new();
+            let stripes = a.layout().stripes();
+            for _ in 0..rng.next_below(6) {
+                let (s, u) = (rng.next_below(stripes), rng.next_below(4) as u32);
+                b.write_data(s, u, rng.next_u64());
+                if rng.next_below(2) == 0 {
+                    skip.insert((s, u));
+                }
+            }
+            for _ in 0..rng.next_below(3) {
+                let s = rng.next_below(stripes);
+                let pd = b.layout().parity_disk(s);
+                b.set_word(s, pd, rng.next_u64());
+            }
+            for _ in 0..rng.next_below(3) {
+                skip.insert((rng.next_below(stripes), rng.next_below(4) as u32));
+            }
+            let want = per_unit_scan(&a, &b, &skip);
+            assert_eq!(a.data_divergence(&b, &skip), want);
+            assert_eq!(b.data_divergence(&a, &skip), want);
+            if want.is_some() {
+                found += 1;
+            } else {
+                clean += 1;
+            }
+        }
+        assert!(found > 50 && clean > 50, "{found} diverging, {clean} clean");
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //! The spindle's angular position is a pure function of simulated time
 //! and the disk's spin phase; giving all disks the same phase yields
 //! the spin-synchronised array the paper assumes.
+//!
+//! The revolution time and the track-to-track seek are derived from
+//! the model once, when the [`Disk`] is built, and kept on the disk in
+//! integer nanoseconds. Every quotient and rounding is the one the
+//! model's own accessors ([`DiskModel::revolution`],
+//! [`DiskModel::sector_time`]) would produce.
 
 use afraid_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -47,7 +53,7 @@ pub struct DiskRequest {
 }
 
 /// Aggregate per-disk statistics.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DiskStats {
     /// Completed read commands.
     pub reads: u64,
@@ -74,6 +80,10 @@ pub struct DiskStats {
 /// One disk drive.
 pub struct Disk {
     model: DiskModel,
+    /// `model.revolution()` in nanoseconds, cached at construction.
+    rev_ns: u64,
+    /// `model.seek.track_to_track()`, cached at construction.
+    track_to_track: SimDuration,
     cache: SegmentedCache,
     /// Spindle phase offset; equal phases = spin-synchronised.
     phase: SimDuration,
@@ -92,6 +102,8 @@ impl Disk {
     /// on-drive cache disabled (the paper's configuration).
     pub fn new(model: DiskModel, phase: SimDuration) -> Self {
         Disk {
+            rev_ns: model.revolution().as_nanos(),
+            track_to_track: model.seek.track_to_track(),
             model,
             cache: SegmentedCache::disabled(),
             phase,
@@ -200,6 +212,16 @@ impl Disk {
     ///
     /// Panics if the request is empty or runs past the end of the disk.
     pub fn submit(&mut self, now: SimTime, req: &DiskRequest) -> IoOutcome {
+        self.submit_via(now, req, Self::service_time)
+    }
+
+    /// [`Disk::submit`] with the mechanical service-time computation
+    /// passed in, so tests can drive a reference implementation
+    /// through the same fault and accounting path.
+    fn submit_via<F>(&mut self, now: SimTime, req: &DiskRequest, service_time: F) -> IoOutcome
+    where
+        F: FnOnce(&mut Self, SimTime, &DiskRequest) -> SimDuration,
+    {
         if self.failed {
             return IoOutcome::Failed;
         }
@@ -212,7 +234,7 @@ impl Disk {
             self.capacity_sectors()
         );
         let start = now.max(self.free_at);
-        let mut service = self.service_time(start, req);
+        let mut service = service_time(self, start, req);
         if let Some(inj) = &mut self.faults {
             let factor = inj.slow_factor(start);
             if factor > 1.0 {
@@ -272,7 +294,7 @@ impl Disk {
             OpKind::Read => self.model.read_overhead,
             OpKind::Write => self.model.write_overhead,
         };
-        let target = self.model.geometry.locate(req.lba);
+        let (target, spt) = self.model.geometry.locate_in_zone(req.lba);
 
         // Seek.
         let distance = self.cur_cyl.abs_diff(target.cyl);
@@ -282,7 +304,6 @@ impl Disk {
         // Rotational latency: wait for the first target sector's
         // physical slot to rotate under the head.
         let at = start + overhead + seek;
-        let spt = self.model.geometry.sectors_per_track(target.cyl);
         let slot = self.physical_slot(target, spt);
         let rot = self.rotation_wait(at, slot, spt);
         self.stats.rotation_time += rot;
@@ -290,12 +311,10 @@ impl Disk {
         // Media transfer, walking track boundaries. Track and cylinder
         // skew are assumed to exactly hide switch realignment, so each
         // boundary costs the switch time and transfer then continues.
-        let transfer = self.transfer_time(target, req.sectors);
-        self.stats.transfer_time += transfer;
-
         // The arm finishes at the last cylinder touched.
-        let end = self.model.geometry.locate(req.lba + req.sectors - 1);
-        self.cur_cyl = end.cyl;
+        let (transfer, end_cyl) = self.transfer_time(target, spt, req.sectors);
+        self.stats.transfer_time += transfer;
+        self.cur_cyl = end_cyl;
 
         if req.op == OpKind::Read {
             self.cache.insert(req.lba, req.sectors);
@@ -315,11 +334,15 @@ impl Disk {
     /// Time until rotational slot `slot` (of `spt` slots) is under the
     /// head, given absolute time `at` and the spin phase.
     fn rotation_wait(&self, at: SimTime, slot: u32, spt: u32) -> SimDuration {
-        let rev_ns = self.model.revolution().as_nanos();
+        let rev_ns = self.rev_ns;
         let angle_ns = (at.as_nanos() + self.phase.as_nanos()) % rev_ns;
-        // Start of the target slot, in nanoseconds around the track.
-        let slot_ns = u128::from(slot) * u128::from(rev_ns) / u128::from(spt);
-        let slot_ns = slot_ns as u64;
+        // Start of the target slot, in nanoseconds around the track:
+        // floor(slot * rev / spt). The product fits in u64 for any
+        // real spindle; the u128 path keeps the quotient exact if not.
+        let slot_ns = match u64::from(slot).checked_mul(rev_ns) {
+            Some(p) => p / u64::from(spt),
+            None => (u128::from(slot) * u128::from(rev_ns) / u128::from(spt)) as u64,
+        };
         let wait = if slot_ns >= angle_ns {
             slot_ns - angle_ns
         } else {
@@ -328,20 +351,22 @@ impl Disk {
         SimDuration::from_nanos(wait)
     }
 
-    /// Pure media transfer time for `sectors` starting at `chs`,
-    /// including head/cylinder switch costs at track boundaries.
-    fn transfer_time(&self, mut chs: Chs, mut sectors: u64) -> SimDuration {
+    /// Pure media transfer time for `sectors` starting at `chs` (on a
+    /// track of `spt` sectors), including head/cylinder switch costs at
+    /// track boundaries, and the cylinder of the last sector.
+    fn transfer_time(&self, mut chs: Chs, mut spt: u32, mut sectors: u64) -> (SimDuration, u32) {
         let geom = &self.model.geometry;
+        let mut sector_time = SimDuration::from_nanos(self.rev_ns / u64::from(spt));
         let mut total = SimDuration::ZERO;
         loop {
-            let spt = geom.sectors_per_track(chs.cyl);
             let on_track = u64::from(spt - chs.sector).min(sectors);
-            total += self.model.sector_time(spt) * on_track;
+            total += sector_time * on_track;
             sectors -= on_track;
             if sectors == 0 {
-                return total;
+                return (total, chs.cyl);
             }
-            // Cross to the next track.
+            // Cross to the next track; only a cylinder switch can enter
+            // a new zone.
             chs.sector = 0;
             if chs.head + 1 < geom.heads() {
                 chs.head += 1;
@@ -349,7 +374,9 @@ impl Disk {
             } else {
                 chs.head = 0;
                 chs.cyl += 1;
-                total += self.model.seek.track_to_track();
+                total += self.track_to_track;
+                spt = geom.sectors_per_track(chs.cyl);
+                sector_time = SimDuration::from_nanos(self.rev_ns / u64::from(spt));
             }
         }
     }
@@ -357,6 +384,93 @@ impl Disk {
     /// Bus transfer time for a cache hit.
     fn bus_time(&self, sectors: u64) -> SimDuration {
         SimDuration::from_secs_f64(sectors as f64 * SECTOR_BYTES as f64 / self.model.bus_rate)
+    }
+}
+
+/// The service-time computation as it stood before the per-disk
+/// constants were cached: the revolution re-derived from the RPM on
+/// every use, two zone lookups, a second `locate` for the end cylinder
+/// and a u128 slot division. Kept as the oracle the equivalence test
+/// holds the fast path to.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    impl Disk {
+        pub(super) fn reference_service_time(
+            &mut self,
+            start: SimTime,
+            req: &DiskRequest,
+        ) -> SimDuration {
+            match req.op {
+                OpKind::Read => {
+                    if self.cache.hit(req.lba, req.sectors) {
+                        self.stats.cache_hits += 1;
+                        return self.bus_time(req.sectors) + self.model.read_overhead;
+                    }
+                }
+                OpKind::Write => {
+                    self.cache.invalidate(req.lba, req.sectors);
+                }
+            }
+            let overhead = match req.op {
+                OpKind::Read => self.model.read_overhead,
+                OpKind::Write => self.model.write_overhead,
+            };
+            let target = self.model.geometry.locate(req.lba);
+            let distance = self.cur_cyl.abs_diff(target.cyl);
+            let seek = self.model.seek.time(distance);
+            self.stats.seek_time += seek;
+            let at = start + overhead + seek;
+            let spt = self.model.geometry.sectors_per_track(target.cyl);
+            let slot = self.physical_slot(target, spt);
+            let rot = self.reference_rotation_wait(at, slot, spt);
+            self.stats.rotation_time += rot;
+            let transfer = self.reference_transfer_time(target, req.sectors);
+            self.stats.transfer_time += transfer;
+            let end = self.model.geometry.locate(req.lba + req.sectors - 1);
+            self.cur_cyl = end.cyl;
+            if req.op == OpKind::Read {
+                self.cache.insert(req.lba, req.sectors);
+            }
+            overhead + seek + rot + transfer
+        }
+
+        fn reference_rotation_wait(&self, at: SimTime, slot: u32, spt: u32) -> SimDuration {
+            let rev_ns = self.model.revolution().as_nanos();
+            let angle_ns = (at.as_nanos() + self.phase.as_nanos()) % rev_ns;
+            let slot_ns = u128::from(slot) * u128::from(rev_ns) / u128::from(spt);
+            let slot_ns = slot_ns as u64;
+            let wait = if slot_ns >= angle_ns {
+                slot_ns - angle_ns
+            } else {
+                rev_ns - (angle_ns - slot_ns)
+            };
+            SimDuration::from_nanos(wait)
+        }
+
+        fn reference_transfer_time(&self, mut chs: Chs, mut sectors: u64) -> SimDuration {
+            let geom = &self.model.geometry;
+            let mut total = SimDuration::ZERO;
+            loop {
+                let spt = geom.sectors_per_track(chs.cyl);
+                let on_track = u64::from(spt - chs.sector).min(sectors);
+                total += self.model.sector_time(spt) * on_track;
+                sectors -= on_track;
+                if sectors == 0 {
+                    return total;
+                }
+                chs.sector = 0;
+                if chs.head + 1 < geom.heads() {
+                    chs.head += 1;
+                    total += self.model.head_switch;
+                } else {
+                    chs.head = 0;
+                    chs.cyl += 1;
+                    total += self.model.seek.track_to_track();
+                }
+            }
+        }
     }
 }
 
@@ -690,6 +804,132 @@ mod tests {
         assert_eq!(done, SimTime::ZERO + ok.since(SimTime::ZERO).mul_f64(200.0));
         assert_eq!(d.stats().media_errors, 0);
         assert_eq!(d.stats().timeouts, 0);
+    }
+
+    /// The cached-constant service-time path is bit-identical to the
+    /// reference computation: outcome, statistics, busy horizon and
+    /// arm cylinder after every one of a seeded stream of reads and
+    /// writes that cross track, cylinder and zone boundaries, with the
+    /// segmented cache on, transient faults drawn and a fail-slow
+    /// window covering part of the stream.
+    #[test]
+    fn service_time_matches_the_reference_computation() {
+        const REQUESTS: usize = 12_000;
+        for (model, phase) in [
+            (DiskModel::hp_c3325(), SimDuration::from_micros(3_217)),
+            (DiskModel::test_disk(), SimDuration::ZERO),
+        ] {
+            let geom = model.geometry.clone();
+            let cap = geom.capacity_sectors();
+            let per_cyl_max =
+                u64::from(geom.heads()) * u64::from(geom.zones()[0].sectors_per_track);
+            let zone_edges: Vec<u64> = geom
+                .zones()
+                .iter()
+                .scan(0u64, |lba, z| {
+                    *lba += u64::from(z.cylinders)
+                        * u64::from(geom.heads())
+                        * u64::from(z.sectors_per_track);
+                    Some(*lba)
+                })
+                .filter(|&edge| edge < cap)
+                .collect();
+            let build = || {
+                let mut d = Disk::new(model.clone(), phase).with_cache(SegmentedCache::new(4, 256));
+                d.set_fault_injector(
+                    FaultInjector::new(profile(0.01, 0.005), SplitMix64::new(77)).with_fail_slow(
+                        FailSlowWindow {
+                            start: SimTime::from_secs(20),
+                            until: SimTime::from_secs(60),
+                            factor: 7.5,
+                        },
+                    ),
+                );
+                d
+            };
+            let (mut fast, mut reference) = (build(), build());
+            let mut rng = SplitMix64::new(0xD15C_0013);
+            let mut now = SimTime::ZERO;
+            let mut last_lba = 0u64;
+            let (mut track_x, mut cyl_x, mut zone_x) = (0, 0, 0);
+            for i in 0..REQUESTS {
+                let sectors = match rng.next_below(10) {
+                    0..=5 => 1 + rng.next_below(64),
+                    6..=8 => 1 + rng.next_below(per_cyl_max),
+                    _ => 1 + rng.next_below(3 * per_cyl_max),
+                };
+                let lba = match rng.next_below(8) {
+                    // Straddle a zone boundary.
+                    0 if !zone_edges.is_empty() => {
+                        let edge = zone_edges[rng.next_below(zone_edges.len() as u64) as usize];
+                        edge.saturating_sub(rng.next_below(sectors + 1))
+                    }
+                    // Re-read recent data, for cache hits.
+                    1 => last_lba,
+                    _ => rng.next_below(cap),
+                }
+                .min(cap - sectors);
+                last_lba = lba;
+                let op = if rng.next_below(3) == 0 {
+                    OpKind::Write
+                } else {
+                    OpKind::Read
+                };
+                let req = DiskRequest { lba, sectors, op };
+                let (first, spt) = geom.locate_in_zone(lba);
+                let last = geom.locate(lba + sectors - 1);
+                track_x += usize::from(u64::from(first.sector) + sectors > u64::from(spt));
+                cyl_x += usize::from(last.cyl != first.cyl);
+                zone_x += usize::from(geom.sectors_per_track(last.cyl) != spt);
+
+                let got = fast.submit(now, &req);
+                let want = reference.submit_via(now, &req, Disk::reference_service_time);
+                assert_eq!(got, want, "{} request {i}: {req:?}", model.name);
+                assert_eq!(
+                    fast.stats(),
+                    reference.stats(),
+                    "{} request {i}",
+                    model.name
+                );
+                assert_eq!(
+                    fast.cur_cyl, reference.cur_cyl,
+                    "{} request {i}",
+                    model.name
+                );
+                assert_eq!(
+                    fast.free_at(),
+                    reference.free_at(),
+                    "{} request {i}",
+                    model.name
+                );
+                // Sometimes queue behind the drive, sometimes idle.
+                now = match rng.next_below(3) {
+                    0 => now,
+                    _ => {
+                        now.max(fast.free_at()) + SimDuration::from_nanos(rng.next_below(5_000_000))
+                    }
+                };
+            }
+            let s = fast.stats();
+            assert!(
+                track_x > 0 && cyl_x > 0,
+                "{}: no track/cylinder crossings",
+                model.name
+            );
+            assert!(
+                zone_x > 0 || geom.zones().len() == 1,
+                "{}: no zone crossings",
+                model.name
+            );
+            assert!(
+                s.cache_hits > 0 && s.media_errors > 0 && s.timeouts > 0,
+                "{s:?}"
+            );
+            assert!(
+                now > SimTime::from_secs(60),
+                "stream ends inside the fail-slow window"
+            );
+        }
     }
 
     #[test]

@@ -128,6 +128,16 @@ impl Geometry {
     ///
     /// Panics if `lba` is beyond the disk capacity.
     pub fn locate(&self, lba: u64) -> Chs {
+        self.locate_in_zone(lba).0
+    }
+
+    /// Maps an LBA to its physical address and the sectors per track
+    /// of its zone, with a single zone lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lba` is beyond the disk capacity.
+    pub fn locate_in_zone(&self, lba: u64) -> (Chs, u32) {
         assert!(
             lba < self.capacity,
             "LBA {lba} beyond capacity {}",
@@ -141,11 +151,12 @@ impl Geometry {
         let off = lba - self.zone_first_lba[zi];
         let cyl = self.zone_first_cyl[zi] + (off / per_cyl) as u32;
         let within = off % per_cyl;
-        Chs {
+        let chs = Chs {
             cyl,
             head: (within / spt) as u32,
             sector: (within % spt) as u32,
-        }
+        };
+        (chs, zone.sectors_per_track)
     }
 
     /// Maps a physical address back to its LBA.
@@ -289,6 +300,33 @@ mod tests {
         assert_eq!(g.sectors_per_track(99), 120);
         assert_eq!(g.sectors_per_track(100), 80);
         assert_eq!(g.sectors_per_track(299), 80);
+    }
+
+    #[test]
+    fn locate_in_zone_agrees_at_every_zone_edge() {
+        for g in [
+            two_zone(),
+            crate::model::DiskModel::hp_c3325().geometry,
+            crate::model::DiskModel::test_disk().geometry,
+        ] {
+            let mut first = 0u64;
+            for z in g.zones() {
+                let len =
+                    u64::from(z.cylinders) * u64::from(g.heads()) * u64::from(z.sectors_per_track);
+                for lba in [first, first + len - 1] {
+                    let chs = g.locate(lba);
+                    assert_eq!(
+                        g.locate_in_zone(lba),
+                        (chs, g.sectors_per_track(chs.cyl)),
+                        "lba {lba}"
+                    );
+                    assert_eq!(g.locate_in_zone(lba).1, z.sectors_per_track);
+                    assert_eq!(g.lba_of(chs), lba);
+                }
+                first += len;
+            }
+            assert_eq!(first, g.capacity_sectors());
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! A fast hasher for small integer keys.
 //!
 //! The simulator keeps several hash sets and maps keyed by dense
-//! `u64` sequence numbers and stripe indices on its hottest paths
-//! (event-queue pending ids, per-stripe write counts, flight tables).
+//! `u64` ids and stripe indices on its hot paths (per-stripe write
+//! counts, flight tables, trace-analysis region sets). The event queue
+//! is not among them: it tracks cancellations in a short tombstone
+//! list, so scheduling and delivering an event hash nothing.
 //! SipHash's DoS resistance buys nothing there — the keys come from
 //! the simulation itself, not from an adversary — so these containers
 //! use a Fibonacci multiply-shift finaliser instead: one `wrapping_mul`
