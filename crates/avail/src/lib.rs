@@ -18,6 +18,9 @@
 //!
 //! All equations take time in **hours** and data in **bytes**.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unimplemented)]
+
 pub mod mdlr;
 pub mod mttdl;
 pub mod params;

@@ -204,7 +204,7 @@ impl AvailabilityReport {
     /// # Panics
     ///
     /// As [`build`](Self::build).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "one input per term of the model")]
     pub fn build_with_corruption(
         design: DesignKind,
         params: &ModelParams,

@@ -226,7 +226,8 @@ fn main() {
         },
         |&ki| {
             let cfg = ArrayConfig::paper_default(ParityPolicy::IdleOnly);
-            let pl = run_parity_logging(&cfg, &ParityLogConfig::default(), &traces[ki]);
+            let pl = run_parity_logging(&cfg, &ParityLogConfig::default(), &traces[ki])
+                .expect("the paper's array config is valid");
             let af = run_trace(&cfg, &traces[ki], &RunOptions::default());
             (pl, af)
         },

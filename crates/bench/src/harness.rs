@@ -221,7 +221,10 @@ pub fn run_cells(
 /// `capacity` and `seed` are the trace-generation coordinates, which
 /// differ between the bench binaries ([`TRACE_CAPACITY`], [`seed`])
 /// and `afraid-cli sweep` (capacity derived from the array).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the cell coordinates plus the jobs count and optional cache"
+)]
 pub fn run_cells_cached(
     jobs: usize,
     kinds: &[WorkloadKind],

@@ -28,6 +28,9 @@
 //! rebuild, mid-eviction-drain, and crashes that destroy the NVRAM
 //! and a disk together.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unimplemented)]
+
 pub mod scenario;
 pub mod sweep;
 pub mod verdict;

@@ -126,13 +126,10 @@ pub fn judge(
     let mut truly: BTreeSet<(u64, u32)> = BTreeSet::new();
     if let Some(f) = image.failed_disk {
         for stripe in 0..layout.stripes() {
-            if layout.parity_disk(stripe) == f {
+            let Some(unit) = layout.data_unit(stripe, f) else {
                 continue; // parity loss is never data loss
-            }
+            };
             if image.shadow.reconstruct(stripe, f) == Reconstruction::Lost {
-                let unit = (0..layout.data_units())
-                    .find(|&u| layout.data_disk(stripe, u) == f)
-                    .expect("non-parity disk holds a data unit");
                 // A dead unit whose XOR candidate checksums back to
                 // the client's intent was corrupt *on the platter* and
                 // healed by the reconstruction — better than what the
@@ -322,9 +319,7 @@ mod tests {
         let s = (0..layout.stripes())
             .find(|&s| layout.parity_disk(s) != f)
             .unwrap();
-        let u = (0..layout.data_units())
-            .find(|&u| layout.data_disk(s, u) == f)
-            .unwrap();
+        let u = layout.data_unit(s, f).unwrap();
         // Stale parity over the dead unit, but no mark: recovery will
         // confidently reconstruct garbage. Judge must flag it.
         img.shadow.write_data(s, u, 0x777);
@@ -346,9 +341,7 @@ mod tests {
         let s = (0..layout.stripes())
             .find(|&s| layout.parity_disk(s) != f)
             .unwrap();
-        let u = (0..layout.data_units())
-            .find(|&u| layout.data_disk(s, u) == f)
-            .unwrap();
+        let u = layout.data_unit(s, f).unwrap();
         // One genuinely stale stripe, properly marked — then the crash
         // takes both the NVRAM and the disk.
         img.shadow.write_data(s, u, 0xabc);

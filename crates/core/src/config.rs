@@ -284,9 +284,9 @@ impl ArrayConfig {
     /// The exhaustive destructuring (no `..`) makes the compiler
     /// enforce completeness: a newly added field fails this function
     /// until it is rendered, so stale cache entries keyed on an older
-    /// shape can never be confused with the new one. Lint rule d5
-    /// checks the same property structurally, plus that every embedded
-    /// struct renders through derived (bit-complete) `Debug`. Float
+    /// shape can never be confused with the new one. Embedded structs
+    /// render through derived (bit-complete) `Debug`; `SimTime` and
+    /// `SimDuration` print their exact nanosecond count. Float
     /// fields are rendered with Rust's shortest round-trip formatting,
     /// which is injective on bit patterns.
     pub fn cache_encoding(&self) -> String {

@@ -42,6 +42,8 @@
 //! while no parity scrub is active, and the tour is abandoned outright
 //! in degraded mode.
 
+#![deny(clippy::indexing_slicing)]
+
 use std::collections::BTreeMap;
 
 use afraid_disk::disk::{Disk, DiskRequest, OpKind};
@@ -394,9 +396,12 @@ impl Controller {
     /// Panics if the configuration fails validation (see
     /// [`ArrayConfig::validate`]) or the marking granularity does not
     /// divide the stripe unit evenly.
+    #[expect(
+        clippy::panic,
+        reason = "documented construction-time validation: fails before any event is scheduled"
+    )]
     pub fn new(cfg: ArrayConfig) -> Controller {
         if let Err(e) = cfg.validate() {
-            // lint:allow(d3) documented construction-time validation: fails before any event is scheduled
             panic!("invalid array config: {e}");
         }
         let unit_sectors = cfg.stripe_unit_bytes / 512;
@@ -1140,7 +1145,10 @@ impl Controller {
     /// the unit on the dead disk (the standard degraded write). If the
     /// dead disk holds the stripe's parity, only the data can be
     /// written.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the planner appends to the caller's four scratch buffers"
+    )]
     fn plan_degraded_write(
         &mut self,
         stripe: u64,
@@ -1155,7 +1163,8 @@ impl Controller {
         let unit_sectors = self.layout.unit_sectors();
         let parity_disk = self.layout.parity_disk(stripe);
 
-        if parity_disk == f {
+        // The dead disk holds data unit `uf`, or else the parity.
+        let Some(uf) = self.layout.data_unit(stripe, f) else {
             // No parity to maintain: plain data writes (RAID 0-like
             // until the rebuild restores the parity unit on the spare).
             for sl in group {
@@ -1169,13 +1178,7 @@ impl Controller {
                 shadow_writes.push((stripe, sl.unit, ShadowMode::DataOnly));
             }
             return;
-        }
-
-        // The dead disk holds data unit `uf`.
-        let uf = (0..self.layout.data_units())
-            .find(|&u| self.layout.data_disk(stripe, u) == f)
-            // lint:allow(d3) the caller ruled out parity_disk(stripe) == f, so f holds a data unit
-            .expect("dead disk holds a data unit");
+        };
         let covers = |u: u32| group.iter().any(|sl| sl.unit == u && sl.full_unit);
 
         // Pre-read every surviving data unit not fully overwritten;
@@ -1379,12 +1382,10 @@ impl Controller {
             let s = (stripe + step) % total;
             // The victim must be a data unit of the same disk, on a
             // stripe the rebuild does not own.
-            if self.layout.parity_disk(s) == disk || self.degraded_disk_for(s).is_some() {
+            if self.degraded_disk_for(s).is_some() {
                 continue;
             }
-            let Some(vu) =
-                (0..self.layout.data_units()).find(|&u| self.layout.data_disk(s, u) == disk)
-            else {
+            let Some(vu) = self.layout.data_unit(s, disk) else {
                 continue;
             };
             if shadow.data_word(s, vu) == word {
@@ -1567,7 +1568,10 @@ impl Controller {
     /// checksum), declares the loss otherwise. `lba`/`sectors` locate
     /// the in-place repair write. Returns the verdict and whether the
     /// corruption tripped the disk's health threshold.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the repair needs the corrupt unit's full address plus both models"
+    )]
     fn resolve_corrupt_unit(
         &mut self,
         shadow: &mut ShadowArray,
@@ -1723,37 +1727,50 @@ impl Controller {
 
     // ------------------------------------------------------------------
     // Checked-access helpers. Each names one structural invariant and
-    // carries its `lint:allow(d3)` exactly once, so the event loop
-    // reads without per-call-site annotations and the baseline ratchet
-    // counts invariants, not mentions.
+    // carries its `#[expect]` exactly once, so the event loop reads
+    // without per-call-site exceptions.
     // ------------------------------------------------------------------
 
     /// Live-slot accessor. Slots are allocated by [`Self::alloc_slot`]
     /// and freed only at completion; every event naming a slot was
     /// scheduled while it was live.
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "slot liveness: events never outlive the request slot they name"
+    )]
     fn req_mut(&mut self, slot: u32) -> &mut ActiveReq {
-        // lint:allow(d3) slot liveness: events never outlive the request slot they name
         self.reqs[slot as usize].as_mut().expect("live request")
     }
 
     /// Removes and returns a slot's request; happens exactly once, at
     /// completion (or when a blocked request is re-planned).
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::expect_used,
+        reason = "slot liveness: take happens once, at the end of the slot's lifetime"
+    )]
     fn take_req(&mut self, slot: u32) -> ActiveReq {
         self.free_slots.push(slot);
-        // lint:allow(d3) slot liveness: take happens once, at the end of the slot's lifetime
         self.reqs[slot as usize].take().expect("live request")
     }
 
     /// Disk accessor. Disk ids originate from [`Layout`] or the
     /// config, both bounded by `cfg.disks == disks.len()`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "disk ids come from Layout/config and are < cfg.disks by construction"
+    )]
     fn disk(&self, disk: u32) -> &Disk {
-        // lint:allow(d3) disk ids come from Layout/config and are < cfg.disks by construction
         &self.disks[disk as usize]
     }
 
     /// Mutable [`Self::disk`].
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "disk ids come from Layout/config and are < cfg.disks by construction"
+    )]
     fn disk_mut(&mut self, disk: u32) -> &mut Disk {
-        // lint:allow(d3) disk ids come from Layout/config and are < cfg.disks by construction
         &mut self.disks[disk as usize]
     }
 
@@ -1772,14 +1789,20 @@ impl Controller {
     /// Flight accessor. `IoDone`/`IoRetry` events are scheduled only
     /// while the flight entry is live, and removal cancels no events —
     /// it only happens in their handlers.
+    #[expect(
+        clippy::expect_used,
+        reason = "flight liveness: IoDone/IoRetry events never outlive their flights entry"
+    )]
     fn flight(&self, id: u64) -> Flight {
-        // lint:allow(d3) flight liveness: IoDone/IoRetry events never outlive their flights entry
         *self.flights.get(&id).expect("live flight")
     }
 
     /// Mutable [`Self::flight`].
+    #[expect(
+        clippy::expect_used,
+        reason = "flight liveness: IoDone/IoRetry events never outlive their flights entry"
+    )]
     fn flight_mut(&mut self, id: u64) -> &mut Flight {
-        // lint:allow(d3) flight liveness: IoDone/IoRetry events never outlive their flights entry
         self.flights.get_mut(&id).expect("live flight")
     }
 
@@ -2707,13 +2730,9 @@ impl Controller {
         let mut scarred: BTreeMap<u64, u32> = BTreeMap::new();
         let dirty: Vec<u64> = self.marks.marked_from(0, usize::MAX >> 1);
         for stripe in dirty {
-            if self.layout.parity_disk(stripe) == disk {
+            let Some(uf) = self.layout.data_unit(stripe, disk) else {
                 continue; // parity lost, data intact: rebuild fixes it
-            }
-            let uf = (0..self.layout.data_units())
-                .find(|&u| self.layout.data_disk(stripe, u) == disk)
-                // lint:allow(d3) parity_disk(stripe) == disk was ruled out above, so the dead disk holds a data unit
-                .expect("dead disk holds a data unit");
+            };
             scarred.insert(stripe, uf);
             // The unit's content is permanently whatever the stale
             // parity reconstructs; absorb that value so the XOR
@@ -2747,15 +2766,12 @@ impl Controller {
                         continue;
                     }
                     last = Some(stripe);
-                    if self.layout.parity_disk(stripe) == disk
-                        || scarred.contains_key(&stripe)
+                    if scarred.contains_key(&stripe)
                         || self.cfg.regions.mode_of(stripe) == RegionMode::NeverProtect
                     {
                         continue;
                     }
-                    let Some(uf) = (0..self.layout.data_units())
-                        .find(|&u| self.layout.data_disk(stripe, u) == disk)
-                    else {
+                    let Some(uf) = self.layout.data_unit(stripe, disk) else {
                         continue;
                     };
                     let candidate = shadow.xor_survivors(stripe, disk);

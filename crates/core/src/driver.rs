@@ -277,6 +277,10 @@ pub fn run_trace(cfg: &ArrayConfig, trace: &Trace, opts: &RunOptions) -> RunResu
 /// be true: crash recovery is verified against it), if the
 /// configuration is invalid, or if the trace exceeds the array's
 /// capacity.
+#[expect(
+    clippy::expect_used,
+    reason = "guarded: the assert!(cfg.shadow) at entry guarantees the shadow model exists"
+)]
 pub fn run_to_cut(cfg: &ArrayConfig, trace: &Trace, opts: &RunOptions, cut: u64) -> CrashRun {
     assert!(
         cfg.shadow,
@@ -285,7 +289,6 @@ pub fn run_to_cut(cfg: &ArrayConfig, trace: &Trace, opts: &RunOptions, cut: u64)
     let mut run = TraceRun::new(cfg, trace, opts);
     while run.events_processed < cut && run.step() {}
     let image = CrashImage::capture(&run.c, run.events_processed)
-        // lint:allow(d7) guarded: the assert!(cfg.shadow) at function entry guarantees the shadow model exists
         .expect("shadow model present: checked above");
     CrashRun {
         image,

@@ -246,7 +246,10 @@ impl DataLossReport {
 /// Panics (in any build) if a shadow model is supplied and its XOR
 /// arithmetic disagrees with the marking memory — that would mean the
 /// controller violated the AFRAID invariant.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each optional model is an independent input to the loss assessment"
+)]
 pub fn assess_loss(
     layout: &Layout,
     marks: &MarkingMemory,
@@ -280,14 +283,15 @@ pub fn assess_loss(
     let nvram_suspect = marks.has_failed();
     for stripe in 0..layout.stripes() {
         let mut dirty = marks.is_marked(stripe);
-        let parity_disk = layout.parity_disk(stripe);
+        // The failed disk's data unit here, or `None` if it held parity.
+        let failed_unit = layout.data_unit(stripe, failed_disk);
 
         if regions.mode_of(stripe) == RegionMode::NeverProtect {
             // Declared-unprotected storage: never marked, never
             // scrubbed; any data unit on the failed disk is gone by
             // configuration. The marks-vs-XOR cross-check does not
             // apply here.
-            if parity_disk != failed_disk {
+            if failed_unit.is_some() {
                 report.declared_unprotected_units += 1;
             }
             continue;
@@ -315,15 +319,21 @@ pub fn assess_loss(
             let recon = shadow.reconstruct(stripe, failed_disk);
             match (dirty, recon) {
                 (false, Reconstruction::Recovered) | (true, Reconstruction::Lost) => {}
+                #[expect(
+                    clippy::panic,
+                    reason = "ground-truth cross-check: a clean mark over an unrecoverable unit means the simulator is broken, and continuing would publish wrong loss numbers"
+                )]
                 (false, Reconstruction::Lost) => {
-                    // lint:allow(d7) deliberate ground-truth cross-check: a clean mark with an unrecoverable unit means the simulator itself is broken, and continuing would publish wrong loss numbers
                     panic!("invariant violated: stripe {stripe} clean but unit unrecoverable")
                 }
+                #[expect(
+                    clippy::panic,
+                    reason = "ground-truth cross-check, same contract as the clean-but-lost arm above"
+                )]
                 (true, Reconstruction::Recovered) => {
                     // Possible only if a write happened to restore the
                     // XOR identity by accident; version words make this
                     // effectively impossible, so flag it.
-                    // lint:allow(d7) deliberate ground-truth cross-check, same contract as the clean-but-lost arm above
                     panic!("invariant violated: stripe {stripe} dirty but consistent")
                 }
             }
@@ -336,17 +346,11 @@ pub fn assess_loss(
                 // back to the client's intent, the corruption was on
                 // the dead unit itself and the failure heals it; any
                 // other case is a loss.
-                if parity_disk != failed_disk {
-                    if let (Some(shadow), Some(int)) = (shadow, integrity) {
-                        let unit = (0..layout.data_units())
-                            .find(|&u| layout.data_disk(stripe, u) == failed_disk)
-                            // lint:allow(d7) layout invariant: in left-symmetric RAID-5 every non-parity disk holds exactly one data unit per stripe, and this branch excluded the parity disk
-                            .expect("failed disk holds a data unit of this stripe");
-                        let candidate = shadow.xor_survivors(stripe, failed_disk);
-                        if !int.verify(stripe, unit, candidate) {
-                            report.corrupt_lost_units += 1;
-                            report.corrupt_lost.push((stripe, unit));
-                        }
+                if let (Some(unit), Some(shadow), Some(int)) = (failed_unit, shadow, integrity) {
+                    let candidate = shadow.xor_survivors(stripe, failed_disk);
+                    if !int.verify(stripe, unit, candidate) {
+                        report.corrupt_lost_units += 1;
+                        report.corrupt_lost.push((stripe, unit));
                     }
                 }
                 continue;
@@ -358,17 +362,13 @@ pub fn assess_loss(
             }
             continue;
         }
-        if parity_disk == failed_disk {
-            report.parity_only += 1;
-        } else {
-            let unit = (0..layout.data_units())
-                .find(|&u| layout.data_disk(stripe, u) == failed_disk)
-                // lint:allow(d7) layout invariant: every non-parity disk holds exactly one data unit per stripe, and the parity-disk case was handled above
-                .expect("failed disk holds a data unit of this stripe");
+        if let Some(unit) = failed_unit {
             report.lost_units += 1;
             let frac = marks.row_mask(stripe).count_ones() as f64 / m;
             report.lost_bytes += (layout.unit_bytes() as f64 * frac).round() as u64;
             report.lost.push((stripe, unit));
+        } else {
+            report.parity_only += 1;
         }
     }
     report
@@ -388,15 +388,8 @@ fn assess_latent_stripe(
     at: SimTime,
     report: &mut DataLossReport,
 ) {
-    let parity_disk = layout.parity_disk(stripe);
     let lba = layout.stripe_lba(stripe);
     let unit_sectors = layout.unit_sectors();
-    let data_unit_of = |disk: u32| {
-        (0..layout.data_units())
-            .find(|&u| layout.data_disk(stripe, u) == disk)
-            // lint:allow(d7) layout invariant: only called for non-parity disks, each of which holds exactly one data unit per stripe
-            .expect("non-parity disk holds a data unit of this stripe")
-    };
     let mut survivor_bad: u64 = 0;
     for disk in 0..layout.disks() {
         if disk == failed_disk {
@@ -407,16 +400,19 @@ fn assess_latent_stripe(
             continue;
         }
         survivor_bad += bad;
-        if disk != parity_disk {
+        if let Some(unit) = layout.data_unit(stripe, disk) {
             report.latent_lost_units += 1;
             report.latent_lost_bytes += bad * SECTOR_BYTES;
-            report.latent_lost.push((stripe, data_unit_of(disk)));
+            report.latent_lost.push((stripe, unit));
         }
     }
-    if survivor_bad > 0 && parity_disk != failed_disk {
+    if let Some(unit) = layout
+        .data_unit(stripe, failed_disk)
+        .filter(|_| survivor_bad > 0)
+    {
         report.latent_lost_units += 1;
         report.latent_lost_bytes += survivor_bad.min(unit_sectors) * SECTOR_BYTES;
-        report.latent_lost.push((stripe, data_unit_of(failed_disk)));
+        report.latent_lost.push((stripe, unit));
     }
 }
 

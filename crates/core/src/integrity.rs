@@ -31,6 +31,8 @@
 //! sometimes lacks. The split between [`IntegrityVerdict::Repaired`]
 //! and [`IntegrityVerdict::Declared`] measures that price.
 
+#![deny(clippy::indexing_slicing)]
+
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::hash::Hasher;

@@ -162,6 +162,14 @@ impl Layout {
         (self.parity_disk(stripe) + 1 + unit) % self.disks
     }
 
+    /// The data unit `disk` holds in `stripe`: the inverse of
+    /// [`Layout::data_disk`], or `None` for the parity disk and for a
+    /// disk outside the array.
+    pub fn data_unit(&self, stripe: u64, disk: u32) -> Option<u32> {
+        let parity = self.parity_disk(stripe);
+        (disk != parity && disk < self.disks).then(|| (disk + self.disks - parity - 1) % self.disks)
+    }
+
     /// First sector of stripe `stripe`'s unit on whichever disk holds
     /// it (all units of a stripe share the same per-disk offset).
     pub fn stripe_lba(&self, stripe: u64) -> u64 {
@@ -425,7 +433,7 @@ mod tests {
     fn unit_roundtrip_disk_lba() {
         let l = small();
         // Every logical 8 KB unit maps to a unique (disk, lba) pair.
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let units = l.logical_capacity() / 8192;
         for i in 0..units {
             let a = l.locate(i * 8192);

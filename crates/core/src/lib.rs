@@ -52,6 +52,9 @@
 //! | [`paritylog`] | parity-logging comparator \[Stodolsky93\] |
 //! | [`report`] | glue to the availability equations |
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unimplemented)]
+
 pub mod cache;
 pub mod config;
 pub mod controller;

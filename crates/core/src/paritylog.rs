@@ -77,24 +77,25 @@ pub struct ParityLogMetrics {
 /// "either the pending parity updates must be applied immediately,
 /// interrupting foreground processing").
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the configuration is invalid or the trace outruns the
-/// array capacity.
+/// Fails if the configuration is invalid (the message of
+/// [`ArrayConfig::validate`]) or the trace outruns the array capacity.
 pub fn run_parity_logging(
     cfg: &ArrayConfig,
     plcfg: &ParityLogConfig,
     trace: &Trace,
-) -> ParityLogMetrics {
-    if let Err(e) = cfg.validate() {
-        panic!("invalid array config: {e}");
-    }
+) -> Result<ParityLogMetrics, String> {
+    cfg.validate()?;
     let disk_sectors = cfg.disk_model.geometry.capacity_sectors();
     let layout = Layout::new(cfg.disks, cfg.stripe_unit_bytes, disk_sectors);
-    assert!(
-        trace.capacity <= layout.logical_capacity(),
-        "trace too large"
-    );
+    if trace.capacity > layout.logical_capacity() {
+        return Err(format!(
+            "trace capacity {} exceeds the array's {} bytes",
+            trace.capacity,
+            layout.logical_capacity()
+        ));
+    }
 
     let mut disks: Vec<Disk> = (0..cfg.disks)
         .map(|_| Disk::new(cfg.disk_model.clone(), SimDuration::ZERO))
@@ -215,13 +216,13 @@ pub fn run_parity_logging(
         }
     }
 
-    ParityLogMetrics {
+    Ok(ParityLogMetrics {
         mean_io_ms: response.mean(),
         requests: response.count(),
         log_flushes,
         replays,
         replay_time,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -251,8 +252,10 @@ mod tests {
     #[test]
     fn runs_and_counts() {
         let t = write_trace(100, 50, 8192);
-        let m = run_parity_logging(&cfg(), &ParityLogConfig::default(), &t);
+        let m = run_parity_logging(&cfg(), &ParityLogConfig::default(), &t).unwrap();
         assert_eq!(m.requests, 100);
+        let bad = ArrayConfig { disks: 2, ..cfg() };
+        assert!(run_parity_logging(&bad, &ParityLogConfig::default(), &t).is_err());
         assert!(m.mean_io_ms > 0.0);
         // 100 * 8 KB = 800 KB through a 64 KB buffer: ~12 flushes.
         assert!(
@@ -269,7 +272,7 @@ mod tests {
             buffer_bytes: 32 * 1024,
             log_region_bytes: 256 * 1024,
         };
-        let m = run_parity_logging(&cfg(), &pl, &t);
+        let m = run_parity_logging(&cfg(), &pl, &t).unwrap();
         assert!(m.replays >= 4, "replays {}", m.replays);
         assert!(m.replay_time > SimDuration::ZERO);
     }
@@ -282,8 +285,8 @@ mod tests {
             log_region_bytes: 128 * 1024,
         };
         let big = ParityLogConfig::default();
-        let m_small = run_parity_logging(&cfg(), &small, &t);
-        let m_big = run_parity_logging(&cfg(), &big, &t);
+        let m_small = run_parity_logging(&cfg(), &small, &t).unwrap();
+        let m_big = run_parity_logging(&cfg(), &big, &t).unwrap();
         assert!(
             m_small.mean_io_ms > m_big.mean_io_ms,
             "small-log {} <= big-log {}",
@@ -303,7 +306,7 @@ mod tests {
             bytes: 8192,
             kind: ReqKind::Read,
         });
-        let m = run_parity_logging(&c, &ParityLogConfig::default(), &t);
+        let m = run_parity_logging(&c, &ParityLogConfig::default(), &t).unwrap();
         assert_eq!(m.requests, 1);
         assert_eq!(m.log_flushes, 0);
     }

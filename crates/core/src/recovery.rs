@@ -224,7 +224,9 @@ pub fn replay(image: &CrashImage) -> RecoveryOutcome {
 
     for stripe in 0..layout.stripes() {
         let marked = marks.is_marked(stripe);
-        match image.failed_disk {
+        // The dead disk (if any) and the data unit it held here, or
+        // `None` when it held this stripe's parity.
+        match image.failed_disk.map(|f| (f, layout.data_unit(stripe, f))) {
             None => {
                 // Power-on write-intent cross-check: every surviving
                 // data unit is verified against its checksum *before*
@@ -273,7 +275,7 @@ pub fn replay(image: &CrashImage) -> RecoveryOutcome {
                     marks.clear(stripe);
                 }
             }
-            Some(f) if layout.parity_disk(stripe) == f => {
+            Some((_, None)) => {
                 // The dead disk held this stripe's parity: all data
                 // survives; recompute parity onto the spare. A mark
                 // here meant "parity stale", which is now moot. Rot on
@@ -299,10 +301,7 @@ pub fn replay(image: &CrashImage) -> RecoveryOutcome {
                     marks.clear(stripe);
                 }
             }
-            Some(f) => {
-                let unit = (0..layout.data_units())
-                    .find(|&u| layout.data_disk(stripe, u) == f)
-                    .expect("dead disk holds a data unit when it is not the parity disk");
+            Some((f, Some(unit))) => {
                 // Survivor rot first: a degraded array has no spare
                 // redundancy, so mismatching survivors are declared
                 // as-is (and poison the reconstruction below, which
@@ -467,9 +466,7 @@ mod tests {
         let stripe_with_data_on_f = (0..layout.stripes())
             .find(|&s| layout.parity_disk(s) != f)
             .unwrap();
-        let uf = (0..layout.data_units())
-            .find(|&u| layout.data_disk(stripe_with_data_on_f, u) == f)
-            .unwrap();
+        let uf = layout.data_unit(stripe_with_data_on_f, f).unwrap();
         img.shadow.write_data(stripe_with_data_on_f, uf, 0x5555);
         img.marks.mark(stripe_with_data_on_f, 0, 1);
         img.kill_disk(f);
@@ -504,9 +501,7 @@ mod tests {
         let victim = (0..layout.stripes())
             .find(|&s| layout.parity_disk(s) != f)
             .unwrap();
-        let uf = (0..layout.data_units())
-            .find(|&u| layout.data_disk(victim, u) == f)
-            .unwrap();
+        let uf = layout.data_unit(victim, f).unwrap();
         img.shadow.write_data(victim, uf, 0x9999);
         img.kill_nvram();
         img.kill_disk(f);

@@ -61,8 +61,11 @@ proptest! {
         let stripe = ((layout.stripes() - 1) as f64 * stripe_frac) as u64;
         let mut seen = vec![false; layout.disks() as usize];
         seen[layout.parity_disk(stripe) as usize] = true;
+        prop_assert_eq!(layout.data_unit(stripe, layout.parity_disk(stripe)), None);
         for u in 0..layout.data_units() {
-            let d = layout.data_disk(stripe, u) as usize;
+            let d = layout.data_disk(stripe, u);
+            prop_assert_eq!(layout.data_unit(stripe, d), Some(u));
+            let d = d as usize;
             prop_assert!(!seen[d]);
             seen[d] = true;
         }
@@ -75,18 +78,14 @@ proptest! {
     fn units_never_collide(layout in layouts(), seed in any::<u64>()) {
         let mut rng = afraid_sim::rng::SplitMix64::new(seed);
         let units = layout.logical_capacity() / layout.unit_bytes();
-        let mut seen = std::collections::HashSet::new();
+        let mut owner = std::collections::BTreeMap::new();
         for _ in 0..200 {
             let u = rng.next_below(units);
             let a = layout.locate(u * layout.unit_bytes());
-            if !seen.insert(((a.disk, a.disk_lba), u)) {
-                // Same unit drawn twice is fine; a different unit at
-                // the same slot is not.
-                let clash = seen
-                    .iter()
-                    .any(|&((d, l), u2)| d == a.disk && l == a.disk_lba && u2 != u);
-                prop_assert!(!clash, "unit {u} collides");
-            }
+            // Same unit drawn twice is fine; a different unit at the
+            // same slot is not.
+            let first = *owner.entry((a.disk, a.disk_lba)).or_insert(u);
+            prop_assert_eq!(first, u, "unit {} collides with unit {}", u, first);
         }
     }
 

@@ -58,6 +58,7 @@ impl IoOutcome {
     ///
     /// Panics if the command did not succeed — for callers that model
     /// fault-free disks and want the old infallible-submit ergonomics.
+    #[expect(clippy::panic, reason = "the documented contract of this helper")]
     pub fn expect_ok(self) -> SimTime {
         match self {
             IoOutcome::Ok(t) => t,

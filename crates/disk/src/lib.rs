@@ -31,6 +31,9 @@
 //! The model is deterministic: a request's service time depends only on
 //! the disk state and the simulated clock.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unimplemented)]
+
 pub mod cache;
 pub mod disk;
 pub mod fault;

@@ -5,6 +5,8 @@
 //! queues (\[Worthington94\]). SSTF and SCAN are included for
 //! completeness and for the ablation bench.
 
+#![deny(clippy::indexing_slicing)]
+
 use serde::{Deserialize, Serialize};
 
 /// Scheduling discipline.

@@ -229,12 +229,15 @@ impl CellCache {
     /// mode — missing file, unreadable bytes, malformed JSON, wrong
     /// schema tag, wrong key echo, digest mismatch — degrades to
     /// `Absent`/`Invalid`; nothing here can panic.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "cache read: the entry is validated and replays the exact bytes a fresh run would produce; any failure falls back to simulation"
+    )]
     fn read_validated(&self, key: &CacheKey) -> ReadOutcome {
         let path = self.entry_path(key);
         if !path.exists() {
             return ReadOutcome::Absent;
         }
-        // lint:allow(d1) cache read: the entry is validated below and replays the exact bytes a fresh run would produce; any failure falls back to simulation
         let text = match fs::read_to_string(&path) {
             Ok(t) => t,
             Err(_) => return ReadOutcome::Invalid,
@@ -275,6 +278,10 @@ impl CellCache {
     /// concurrent reader observes either no entry or a complete one.
     /// Best-effort: I/O failure skips the store (the cache is an
     /// optimisation, never a correctness dependency).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "cache write: atomic temp-then-rename publish of a result already computed deterministically; never read back into a result unvalidated"
+    )]
     pub fn store(&self, key: &CacheKey, payload: &str) {
         let entry = Entry {
             schema: self.schema.clone(),
@@ -285,26 +292,25 @@ impl CellCache {
         let Ok(text) = serde_json::to_string(&entry) else {
             return;
         };
-        // lint:allow(d1) cache write: creating the entry directory never feeds back into results
         if fs::create_dir_all(&self.dir).is_err() {
             return;
         }
         // Unique temp name per (process, store) so parallel workers —
         // and parallel *processes* — never collide mid-write.
-        // lint:allow(d8) relaxed is sound: the counter only feeds temp-file name uniqueness, never results
+        // Relaxed is sound: the counter only feeds temp-file name
+        // uniqueness, never results.
         let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
         let tmp = self
             .dir
             .join(format!(".tmp-{}-{}-{}", std::process::id(), seq, key.hex()));
-        // lint:allow(d1) cache write: atomic temp-then-rename publish of a result already computed deterministically
         if fs::write(&tmp, text.as_bytes()).is_err() {
             return;
         }
-        // lint:allow(d1) cache write: rename is the atomic publish step; on failure the temp file is removed and the store is skipped
+        // Rename is the atomic publish step; on failure the temp file
+        // is removed and the store is skipped.
         if fs::rename(&tmp, self.entry_path(key)).is_ok() {
             self.stored.fetch_add(1, Ordering::AcqRel);
         } else {
-            // lint:allow(d1) cache write: best-effort cleanup of an unpublished temp file
             let _ = fs::remove_file(&tmp);
         }
     }
@@ -363,6 +369,7 @@ impl CellCache {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests use real cache dirs")]
 mod tests {
     use super::*;
 

@@ -104,7 +104,7 @@ mod tests {
     #[test]
     fn cell_seed_is_stable_and_distinct() {
         assert_eq!(cell_seed(42, 1, 2), cell_seed(42, 1, 2));
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for t in 0..16 {
             for p in 0..16 {
                 assert!(seen.insert(cell_seed(42, t, p)), "collision at ({t},{p})");

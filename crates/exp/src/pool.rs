@@ -5,14 +5,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Default worker count: the `AFRAID_JOBS` environment variable if set
 /// to a positive integer, otherwise the machine's available
 /// parallelism, otherwise 1.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "jobs only sizes the worker pool; results are byte-identical at any count (tests/parallel_determinism.rs)"
+)]
 pub fn default_jobs() -> usize {
-    // lint:allow(d1) jobs only sizes the worker pool; results are byte-identical at any count (tests/parallel_determinism.rs)
     std::env::var("AFRAID_JOBS")
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
         .filter(|&j| j > 0)
         .unwrap_or_else(|| {
-            // lint:allow(d1) same as above: machine parallelism picks a default pool size, never a result
             std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1)
@@ -26,6 +28,7 @@ pub fn default_jobs() -> usize {
 /// # Panics
 ///
 /// Panics with a usage message if the flag is present but malformed.
+#[expect(clippy::panic, reason = "documented usage error")]
 pub fn jobs_from_args(args: &[String]) -> (usize, Vec<String>) {
     let mut jobs = None;
     let mut rest = Vec::with_capacity(args.len());
@@ -43,6 +46,7 @@ pub fn jobs_from_args(args: &[String]) -> (usize, Vec<String>) {
     (jobs.unwrap_or_else(default_jobs), rest)
 }
 
+#[expect(clippy::panic, reason = "documented usage error")]
 fn parse_jobs(v: &str) -> usize {
     match v.parse::<usize>() {
         Ok(n) if n > 0 => n,
@@ -63,6 +67,10 @@ fn parse_jobs(v: &str) -> usize {
 /// # Panics
 ///
 /// Propagates panics from `f` (the pool joins all workers first).
+#[expect(
+    clippy::expect_used,
+    reason = "re-raises a worker's panic once all workers joined; the claim cursor hands out every index exactly once"
+)]
 pub fn map_parallel<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -86,7 +94,9 @@ where
                 scope.spawn(move || {
                     let mut done: Vec<(usize, R)> = Vec::new();
                     loop {
-                        // lint:allow(d8) relaxed is sound: fetch_add is a single atomic RMW, so every index is claimed exactly once; results are ordered by the slot index, not by claim order
+                        // Relaxed is sound: fetch_add is a single atomic RMW,
+                        // so every index is claimed exactly once, and results
+                        // are ordered by slot index, not by claim order.
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= items.len() {
                             break;

@@ -53,9 +53,17 @@ impl Hasher for FxU64Hasher {
 pub type FxBuildHasher = BuildHasherDefault<FxU64Hasher>;
 
 /// A `HashSet<u64>` specialised for sequence-number keys.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the sanctioned alias: a fixed hasher, so iteration order is a function of the keys"
+)]
 pub type U64Set = std::collections::HashSet<u64, FxBuildHasher>;
 
 /// A `HashMap` with integer keys and the fast hasher.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the sanctioned alias: a fixed hasher, so iteration order is a function of the keys"
+)]
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 #[cfg(test)]
@@ -71,7 +79,7 @@ mod tests {
     fn sequential_keys_spread() {
         // Consecutive ids must not collide in the low bits the table
         // indexes by.
-        let mut low_bits = std::collections::HashSet::new();
+        let mut low_bits = std::collections::BTreeSet::new();
         for i in 0u64..64 {
             low_bits.insert(hash_one(i) >> 57); // top 7 bits
         }

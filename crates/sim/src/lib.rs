@@ -28,6 +28,9 @@
 //! assert_eq!(q.pop().unwrap().1, "second");
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unimplemented)]
+
 pub mod dist;
 pub mod hash;
 pub mod queue;

@@ -23,6 +23,8 @@
 //! heapify-and-merge instead of a sift per event; the controller uses
 //! it for multi-disk I/O bursts.
 
+#![deny(clippy::indexing_slicing)]
+
 use std::cmp::Ordering;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -207,7 +207,7 @@ mod tests {
     fn choose_covers_all_items() {
         let mut r = SplitMix64::new(11);
         let items = ["a", "b", "c"];
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..100 {
             seen.insert(*r.choose(&items));
         }

@@ -287,7 +287,6 @@ impl Sum for SimDuration {
     }
 }
 
-// lint:allow(d5) injective: the exact nanosecond count is always printed alongside the rounded human-scale form
 impl fmt::Debug for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // The human-scale `Display` form rounds to three decimals,
@@ -304,7 +303,6 @@ impl fmt::Display for SimTime {
     }
 }
 
-// lint:allow(d5) injective: the exact nanosecond count is always printed alongside the rounded human-scale form
 impl fmt::Debug for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // Same injectivity requirement as `SimTime`'s Debug: the
@@ -381,6 +379,25 @@ mod tests {
     #[cfg(debug_assertions)]
     fn since_panics_on_backwards_time() {
         let _ = SimTime::ZERO.since(SimTime::from_nanos(1));
+    }
+
+    #[test]
+    fn debug_is_injective_at_one_nanosecond() {
+        // Debug feeds ArrayConfig::cache_encoding(): values the rounded
+        // Display form merges must still get distinct cache keys.
+        let (t, d) = (SimTime::from_millis(1), SimDuration::from_millis(1));
+        assert_eq!(
+            format!("{t}"),
+            format!("{}", t + SimDuration::from_nanos(1))
+        );
+        assert_ne!(
+            format!("{t:?}"),
+            format!("{:?}", t + SimDuration::from_nanos(1))
+        );
+        assert_ne!(
+            format!("{d:?}"),
+            format!("{:?}", d + SimDuration::from_nanos(1))
+        );
     }
 
     #[test]

@@ -21,6 +21,9 @@
 //! generators, [`workloads`] the nine presets, [`analysis`] the
 //! characterisation tools, and [`io`] a serialised on-disk format.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::panic, clippy::unimplemented)]
+
 pub mod analysis;
 pub mod gen;
 pub mod io;

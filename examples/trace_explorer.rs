@@ -15,6 +15,7 @@ use afraid_trace::workloads::{WorkloadKind, WorkloadSpec};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
 
+#[expect(clippy::disallowed_methods, reason = "round-trips a trace via a file")]
 fn main() {
     let capacity = 7 * 1024 * 1024 * 1024;
     let duration = SimDuration::from_secs(600);

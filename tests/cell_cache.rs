@@ -3,6 +3,7 @@
 //! uncached run), damaged entries degrade to misses with a fresh-run
 //! fallback instead of panicking or corrupting results, and distinct
 //! cell coordinates never share a key.
+#![expect(clippy::disallowed_methods, reason = "tests use real cache dirs")]
 
 use std::fs;
 use std::path::PathBuf;

@@ -16,6 +16,7 @@ use afraid_trace::workloads::{WorkloadKind, WorkloadSpec};
 /// Capacity of the `small_test` array (2500 stripes x 4 x 8 KB).
 const CAP: u64 = 2500 * 4 * 8192;
 
+#[expect(clippy::disallowed_methods, reason = "CI reruns this at several seeds")]
 fn seed() -> u64 {
     std::env::var("AFRAID_SEED")
         .ok()
