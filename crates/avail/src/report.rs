@@ -111,101 +111,25 @@ impl AvailabilityReport {
     /// is permanently unprotected by construction). For RAID 5 they
     /// must be zero. For AFRAID they are the simulation measurements.
     ///
+    /// Each exposure that is supplied folds one more failure mode into
+    /// the disk-related figures:
+    ///
+    /// * `latent` — latent sector errors that corrupt a reconstruction;
+    /// * `evict` — the degraded windows a health scoreboard opens by
+    ///   retiring fail-slow disks;
+    /// * `corrupt` — disks that acknowledge writes while storing the
+    ///   wrong bytes.
+    ///
+    /// All three apply to the parity designs only and are ignored for
+    /// RAID 0: it has no reconstruction to corrupt and no spare/rebuild
+    /// pipeline to evict into, and its single-failure story already
+    /// prices every disk defect as a total loss.
+    ///
     /// # Panics
     ///
     /// Panics if RAID 5 is passed non-zero unprotected measurements.
-    pub fn build(
-        design: DesignKind,
-        params: &ModelParams,
-        n_data: u32,
-        frac_unprotected: f64,
-        mean_parity_lag: f64,
-    ) -> AvailabilityReport {
-        Self::build_with_latent(
-            design,
-            params,
-            n_data,
-            frac_unprotected,
-            mean_parity_lag,
-            None,
-        )
-    }
-
-    /// Like [`build`](Self::build), additionally folding a
-    /// latent-sector-error exposure into the disk-related figures.
-    ///
-    /// The latent mode applies to the parity designs only (RAID 0 has
-    /// no reconstruction to corrupt; its data-loss story is already a
-    /// single-failure one), and is ignored there.
-    ///
-    /// # Panics
-    ///
-    /// As [`build`](Self::build).
-    pub fn build_with_latent(
-        design: DesignKind,
-        params: &ModelParams,
-        n_data: u32,
-        frac_unprotected: f64,
-        mean_parity_lag: f64,
-        latent: Option<LatentExposure>,
-    ) -> AvailabilityReport {
-        Self::build_with_exposures(
-            design,
-            params,
-            n_data,
-            frac_unprotected,
-            mean_parity_lag,
-            latent,
-            None,
-        )
-    }
-
-    /// Like [`build_with_latent`](Self::build_with_latent),
-    /// additionally folding a proactive-eviction exposure — the
-    /// degraded windows a health scoreboard opens by retiring
-    /// fail-slow disks — into the disk-related figures.
-    ///
-    /// Like the latent mode, eviction applies to the parity designs
-    /// only: a RAID 0 has no spare/rebuild pipeline to evict into.
-    ///
-    /// # Panics
-    ///
-    /// As [`build`](Self::build).
-    pub fn build_with_exposures(
-        design: DesignKind,
-        params: &ModelParams,
-        n_data: u32,
-        frac_unprotected: f64,
-        mean_parity_lag: f64,
-        latent: Option<LatentExposure>,
-        evict: Option<EvictionExposure>,
-    ) -> AvailabilityReport {
-        Self::build_with_corruption(
-            design,
-            params,
-            n_data,
-            frac_unprotected,
-            mean_parity_lag,
-            latent,
-            evict,
-            None,
-        )
-    }
-
-    /// Like [`build_with_exposures`](Self::build_with_exposures),
-    /// additionally folding a silent-corruption exposure — disks that
-    /// acknowledge writes while storing the wrong bytes — into the
-    /// disk-related figures.
-    ///
-    /// Corruption applies to the parity designs only: RAID 0's
-    /// single-failure story already prices every disk defect as a
-    /// total loss, so a separate lying-disk term would double-count.
-    ///
-    /// # Panics
-    ///
-    /// As [`build`](Self::build).
     #[expect(clippy::too_many_arguments, reason = "one input per term of the model")]
-    pub fn build_with_corruption(
+    pub fn build(
         design: DesignKind,
         params: &ModelParams,
         n_data: u32,
@@ -303,9 +227,14 @@ mod tests {
         ModelParams::default()
     }
 
+    /// A report with no extra exposure folded in.
+    fn plain(design: DesignKind, frac: f64, lag: f64) -> AvailabilityReport {
+        AvailabilityReport::build(design, &p(), 4, frac, lag, None, None, None)
+    }
+
     #[test]
     fn raid5_report() {
-        let r = AvailabilityReport::build(DesignKind::Raid5, &p(), 4, 0.0, 0.0);
+        let r = plain(DesignKind::Raid5, 0.0, 0.0);
         assert!((4.0e9..4.4e9).contains(&r.mttdl_disk));
         // Overall is support-limited.
         assert!(
@@ -318,7 +247,7 @@ mod tests {
 
     #[test]
     fn raid0_report() {
-        let r = AvailabilityReport::build(DesignKind::Raid0, &p(), 4, 0.0, 0.0);
+        let r = plain(DesignKind::Raid0, 0.0, 0.0);
         assert_eq!(r.mttdl_disk, 2.0e6 / 5.0);
         assert!(r.mttdl_overall < r.mttdl_disk);
         assert_eq!(r.frac_unprotected, 1.0);
@@ -326,9 +255,9 @@ mod tests {
 
     #[test]
     fn afraid_sits_between() {
-        let r5 = AvailabilityReport::build(DesignKind::Raid5, &p(), 4, 0.0, 0.0);
-        let r0 = AvailabilityReport::build(DesignKind::Raid0, &p(), 4, 0.0, 0.0);
-        let af = AvailabilityReport::build(DesignKind::Afraid, &p(), 4, 0.05, 64.0 * 1024.0);
+        let r5 = plain(DesignKind::Raid5, 0.0, 0.0);
+        let r0 = plain(DesignKind::Raid0, 0.0, 0.0);
+        let af = plain(DesignKind::Afraid, 0.05, 64.0 * 1024.0);
         assert!(af.mttdl_disk < r5.mttdl_disk);
         assert!(af.mttdl_disk > r0.mttdl_disk);
         assert!(af.mdlr_disk > r5.mdlr_disk);
@@ -339,7 +268,7 @@ mod tests {
     fn afraid_mdlr_dominated_by_support() {
         // Table 3's message: MDLR_unprotected under a byte per hour,
         // overall MDLR ~4 KB/hour from support.
-        let af = AvailabilityReport::build(DesignKind::Afraid, &p(), 4, 0.05, 100.0 * 1024.0);
+        let af = plain(DesignKind::Afraid, 0.05, 100.0 * 1024.0);
         assert!(af.mdlr_unprotected < 1.0);
         assert!(af.mdlr_overall > 3_900.0);
     }
@@ -348,7 +277,7 @@ mod tests {
     fn overall_mttdl_support_limited_for_modest_fractions() {
         // Table 4's message: support (2M h) limits overall MTTDL for
         // all but the busiest workloads.
-        let af = AvailabilityReport::build(DesignKind::Afraid, &p(), 4, 0.02, 0.0);
+        let af = plain(DesignKind::Afraid, 0.02, 0.0);
         // Disk-related: 2e6/(5*0.02) = 2e7 h >> 2e6 support.
         assert!(
             (1.7e6..2.0e6).contains(&af.mttdl_overall),
@@ -360,20 +289,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "RAID 5 cannot have unprotected data")]
     fn raid5_rejects_unprotected_inputs() {
-        let _ = AvailabilityReport::build(DesignKind::Raid5, &p(), 4, 0.1, 0.0);
+        let _ = plain(DesignKind::Raid5, 0.1, 0.0);
     }
 
     #[test]
     fn no_latent_exposure_means_infinite_latent_term() {
-        let r = AvailabilityReport::build(DesignKind::Afraid, &p(), 4, 0.05, 0.0);
+        let r = plain(DesignKind::Afraid, 0.05, 0.0);
         assert_eq!(r.mttdl_latent, f64::INFINITY);
         assert_eq!(r.mdlr_latent, 0.0);
     }
 
     #[test]
     fn latent_exposure_degrades_the_disk_figures() {
-        let clean = AvailabilityReport::build(DesignKind::Afraid, &p(), 4, 0.05, 0.0);
-        let exposed = AvailabilityReport::build_with_latent(
+        let clean = plain(DesignKind::Afraid, 0.05, 0.0);
+        let exposed = AvailabilityReport::build(
             DesignKind::Afraid,
             &p(),
             4,
@@ -383,6 +312,8 @@ mod tests {
                 rate_per_disk_hour: 1e-4,
                 dwell_hours: 1.0,
             }),
+            None,
+            None,
         );
         assert!(exposed.mttdl_latent.is_finite());
         assert!(exposed.mttdl_disk < clean.mttdl_disk);
@@ -392,7 +323,7 @@ mod tests {
     #[test]
     fn scrubbing_improves_the_latent_term() {
         let build = |dwell: f64| {
-            AvailabilityReport::build_with_latent(
+            AvailabilityReport::build(
                 DesignKind::Afraid,
                 &p(),
                 4,
@@ -402,6 +333,8 @@ mod tests {
                     rate_per_disk_hour: 1e-4,
                     dwell_hours: dwell,
                 }),
+                None,
+                None,
             )
         };
         // Unscrubbed dwell ~ MTTF vs a half-hour tour: orders of
@@ -413,8 +346,8 @@ mod tests {
 
     #[test]
     fn eviction_exposure_degrades_the_disk_figures() {
-        let clean = AvailabilityReport::build(DesignKind::Afraid, &p(), 4, 0.05, 0.0);
-        let exposed = AvailabilityReport::build_with_exposures(
+        let clean = plain(DesignKind::Afraid, 0.05, 0.0);
+        let exposed = AvailabilityReport::build(
             DesignKind::Afraid,
             &p(),
             4,
@@ -425,6 +358,7 @@ mod tests {
                 rate_per_hour: 1e-2,
                 window_hours: 2.0,
             }),
+            None,
         );
         assert!(exposed.mttdl_evict.is_finite());
         assert!(exposed.mttdl_disk < clean.mttdl_disk);
@@ -435,7 +369,7 @@ mod tests {
 
     #[test]
     fn raid0_ignores_eviction_exposure() {
-        let r = AvailabilityReport::build_with_exposures(
+        let r = AvailabilityReport::build(
             DesignKind::Raid0,
             &p(),
             4,
@@ -446,6 +380,7 @@ mod tests {
                 rate_per_hour: 1.0,
                 window_hours: 1.0,
             }),
+            None,
         );
         assert_eq!(r.mttdl_evict, f64::INFINITY);
         assert_eq!(r.mdlr_evict, 0.0);
@@ -453,8 +388,8 @@ mod tests {
 
     #[test]
     fn corruption_exposure_degrades_the_disk_figures() {
-        let clean = AvailabilityReport::build(DesignKind::Afraid, &p(), 4, 0.05, 0.0);
-        let exposed = AvailabilityReport::build_with_corruption(
+        let clean = plain(DesignKind::Afraid, 0.05, 0.0);
+        let exposed = AvailabilityReport::build(
             DesignKind::Afraid,
             &p(),
             4,
@@ -478,7 +413,7 @@ mod tests {
     fn fully_repairing_verification_pays_nothing() {
         // Everything detected is repaired: p_unrepairable 0 and the
         // corruption term vanishes however fast the disks lie.
-        let r = AvailabilityReport::build_with_corruption(
+        let r = AvailabilityReport::build(
             DesignKind::Raid5,
             &p(),
             4,
@@ -497,7 +432,7 @@ mod tests {
 
     #[test]
     fn raid0_ignores_corruption_exposure() {
-        let r = AvailabilityReport::build_with_corruption(
+        let r = AvailabilityReport::build(
             DesignKind::Raid0,
             &p(),
             4,
@@ -516,7 +451,7 @@ mod tests {
 
     #[test]
     fn raid0_ignores_latent_exposure() {
-        let r = AvailabilityReport::build_with_latent(
+        let r = AvailabilityReport::build(
             DesignKind::Raid0,
             &p(),
             4,
@@ -526,6 +461,8 @@ mod tests {
                 rate_per_disk_hour: 1.0,
                 dwell_hours: 1.0,
             }),
+            None,
+            None,
         );
         assert_eq!(r.mttdl_latent, f64::INFINITY);
         assert_eq!(r.mdlr_latent, 0.0);

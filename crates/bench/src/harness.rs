@@ -34,7 +34,10 @@ pub const DEFAULT_DURATION_SECS: u64 = 600;
 /// serialized shape of [`RunResult`] (or anything feeding it) changes
 /// in a way the crate version does not capture.
 /// v2: `RunMetrics` gained the integrity-counter block.
-pub const RESULT_SCHEMA: &str = "afraid-cell-v2";
+/// v3: the `declared` integrity counter counts registered corruptions
+/// only, which changes runs that combine corruption with a disk
+/// failure or eviction.
+pub const RESULT_SCHEMA: &str = "afraid-cell-v3";
 
 /// Parsed common bench arguments.
 pub struct BenchArgs {

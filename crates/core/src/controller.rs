@@ -1523,32 +1523,22 @@ impl Controller {
                 }
                 continue;
             }
-            int.counters.verified_units += 1;
-            if !wrong {
+            if !int.detect(sl.stripe, sl.unit, word) {
+                if flipped && int.verify(sl.stripe, sl.unit, word) {
+                    // The platter word checks out; only the transferred
+                    // copy was flipped. A re-read returns clean bytes
+                    // (the retry latency is not modelled).
+                    int.counters.flip_repairs += 1;
+                }
                 continue;
             }
-            if int.verify(sl.stripe, sl.unit, word) {
-                // The platter word checks out; only the transferred
-                // copy was flipped. A re-read returns clean bytes (the
-                // retry latency is not modelled).
-                int.counters.flip_repairs += 1;
-                continue;
-            }
-            if int.kind_of(sl.stripe, sl.unit).is_none() {
-                // Nothing was injected here: a checksum-layer bug, not
-                // a disk lie. Counted so clean runs can assert zero.
-                int.counters.false_positives += 1;
-                continue;
-            }
-            let (_, tripped) = self.resolve_corrupt_unit(
+            let tripped = self.resolve_corrupt_unit(
                 &mut shadow,
                 &mut int,
                 sl.stripe,
                 sl.unit,
-                sl.disk,
                 sl.disk_lba,
                 sl.sectors,
-                word,
             );
             if tripped && condemned.is_none() {
                 condemned = Some(sl.disk);
@@ -1562,41 +1552,33 @@ impl Controller {
         }
     }
 
-    /// Resolves one checksum-detected persistent corruption: repairs
-    /// it from parity when the stripe's redundancy is fresh (the
-    /// reconstruction candidate itself must verify against the
-    /// checksum), declares the loss otherwise. `lba`/`sectors` locate
-    /// the in-place repair write. Returns the verdict and whether the
-    /// corruption tripped the disk's health threshold.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the repair needs the corrupt unit's full address plus both models"
-    )]
+    /// Resolves one checksum-detected persistent corruption through
+    /// the repair-or-declare rule ([`IntegrityState::resolve`]) and
+    /// issues what its verdict implies: the in-place repair write at
+    /// `lba`/`sectors`, or a failed read plus, while parity is fresh,
+    /// the parity re-anchor write. Returns whether the corruption
+    /// tripped the disk's health threshold.
     fn resolve_corrupt_unit(
         &mut self,
         shadow: &mut ShadowArray,
         int: &mut IntegrityState,
         stripe: u64,
         unit: u32,
-        disk: u32,
         lba: u64,
         sectors: u64,
-        word: u64,
-    ) -> (IntegrityVerdict, bool) {
+    ) -> bool {
         // A lying disk is graver than one failing loudly: fold the
         // corruption into the health scoreboard at its heavy weight.
+        let disk = self.layout.data_disk(stripe, unit);
         let tripped = self
             .health
             .as_mut()
             .is_some_and(|h| h.record_corruption(disk));
         let fresh = !self.marks.is_marked(stripe)
             && self.cfg.regions.mode_of(stripe) != RegionMode::NeverProtect;
-        let candidate = shadow.xor_survivors(stripe, disk);
-        if fresh && int.verify(stripe, unit, candidate) {
-            // Parity still encodes the intent: byte-exact repair.
-            shadow.write_data(stripe, unit, candidate);
-            int.record_repair(stripe, unit);
-            self.submit(
+        match int.resolve(shadow, stripe, unit, fresh) {
+            IntegrityVerdict::Clean => {}
+            IntegrityVerdict::Repaired => self.submit(
                 PlannedIo {
                     disk,
                     lba,
@@ -1605,31 +1587,24 @@ impl Controller {
                     cause: IoCause::CorruptRepairWrite,
                 },
                 Ev::RepairIo,
-            );
-            return (IntegrityVerdict::Repaired, tripped);
+            ),
+            IntegrityVerdict::Declared => {
+                self.metrics.record_failed_read();
+                if fresh {
+                    self.submit(
+                        PlannedIo {
+                            disk: self.layout.parity_disk(stripe),
+                            lba: self.layout.stripe_lba(stripe),
+                            sectors: self.layout.unit_sectors(),
+                            op: OpKind::Write,
+                            cause: IoCause::CorruptRepairWrite,
+                        },
+                        Ev::RepairIo,
+                    );
+                }
+            }
         }
-        // The deferral window (or an already-laundered parity) gave
-        // the intent up: declare the loss — detected and counted,
-        // never silently passed — and absorb the platter bytes as the
-        // unit's defined content.
-        int.record_declare(stripe, unit, word);
-        self.metrics.record_failed_read();
-        if fresh {
-            // Re-anchor parity on the absorbed content so the stripe
-            // does not linger inconsistent while unmarked.
-            shadow.rebuild_parity(stripe);
-            self.submit(
-                PlannedIo {
-                    disk: self.layout.parity_disk(stripe),
-                    lba: self.layout.stripe_lba(stripe),
-                    sectors: self.layout.unit_sectors(),
-                    op: OpKind::Write,
-                    cause: IoCause::CorruptRepairWrite,
-                },
-                Ev::RepairIo,
-            );
-        }
-        (IntegrityVerdict::Declared, tripped)
+        tripped
     }
 
     /// Checksum-verifies one settling stripe just before the parity
@@ -1643,18 +1618,12 @@ impl Controller {
         if !self.cfg.integrity.verify_scrub || self.degraded_disk_for(stripe).is_some() {
             return None;
         }
-        let (Some(int), Some(shadow)) = (self.integrity.as_mut(), self.shadow.as_ref()) else {
+        let (Some(int), Some(shadow)) = (self.integrity.as_mut(), self.shadow.as_mut()) else {
             return None;
         };
         let mut condemned = None;
         for unit in 0..self.layout.data_units() {
-            let word = shadow.data_word(stripe, unit);
-            int.counters.verified_units += 1;
-            if int.verify(stripe, unit, word) {
-                continue;
-            }
-            if int.kind_of(stripe, unit).is_none() {
-                int.counters.false_positives += 1;
+            if !int.detect(stripe, unit, shadow.data_word(stripe, unit)) {
                 continue;
             }
             let disk = self.layout.data_disk(stripe, unit);
@@ -1665,7 +1634,7 @@ impl Controller {
             if tripped && condemned.is_none() {
                 condemned = Some(disk);
             }
-            int.record_declare(stripe, unit, word);
+            int.resolve(shadow, stripe, unit, false);
         }
         condemned
     }
@@ -1693,28 +1662,19 @@ impl Controller {
                 continue;
             }
             for unit in 0..self.layout.data_units() {
-                let word = shadow.data_word(stripe, unit);
-                int.counters.verified_units += 1;
-                if int.verify(stripe, unit, word) {
+                if !int.detect(stripe, unit, shadow.data_word(stripe, unit)) {
                     continue;
                 }
-                if int.kind_of(stripe, unit).is_none() {
-                    int.counters.false_positives += 1;
-                    continue;
-                }
-                let disk = self.layout.data_disk(stripe, unit);
-                let (_, tripped) = self.resolve_corrupt_unit(
+                let tripped = self.resolve_corrupt_unit(
                     &mut shadow,
                     &mut int,
                     stripe,
                     unit,
-                    disk,
                     self.layout.stripe_lba(stripe),
                     self.layout.unit_sectors(),
-                    word,
                 );
                 if tripped && condemned.is_none() {
-                    condemned = Some(disk);
+                    condemned = Some(self.layout.data_disk(stripe, unit));
                 }
             }
         }
@@ -2727,26 +2687,17 @@ impl Controller {
             self.events.cancel(ev);
         }
 
+        // Dirty stripes whose data unit lived on the dead disk are
+        // scarred: the unit's content is permanently whatever the stale
+        // parity reconstructs, absorbed so the XOR identity holds again
+        // (the *loss* was already reported).
         let mut scarred: BTreeMap<u64, u32> = BTreeMap::new();
-        let dirty: Vec<u64> = self.marks.marked_from(0, usize::MAX >> 1);
-        for stripe in dirty {
+        for stripe in self.marks.marked_from(0, usize::MAX >> 1) {
             let Some(uf) = self.layout.data_unit(stripe, disk) else {
                 continue; // parity lost, data intact: rebuild fixes it
             };
             scarred.insert(stripe, uf);
-            // The unit's content is permanently whatever the stale
-            // parity reconstructs; absorb that value so the XOR
-            // identity holds again (the *loss* was already reported).
-            if let Some(shadow) = &mut self.shadow {
-                let garbage = shadow.xor_survivors(stripe, disk);
-                shadow.write_data(stripe, uf, garbage);
-                // The scar's content is now *defined* as that value;
-                // re-anchor its checksum so later verification reports
-                // fresh divergence, not this already-reported loss.
-                if let Some(int) = &mut self.integrity {
-                    int.absorb(stripe, uf, garbage);
-                }
-            }
+            self.reconstruct_dead_unit(stripe, disk, false);
             self.clear_mark(stripe);
         }
 
@@ -2758,34 +2709,24 @@ impl Controller {
         // the client's intent and the failure *heals* the lie; any
         // other case scars the unit and declares the loss rather than
         // letting the rebuild materialise wrong bytes silently.
-        if let Some(mut int) = self.integrity.take() {
-            if let Some(mut shadow) = self.shadow.take() {
-                let mut last = None;
-                for (stripe, _, _) in int.live_corrupt() {
-                    if last == Some(stripe) {
-                        continue;
-                    }
-                    last = Some(stripe);
-                    if scarred.contains_key(&stripe)
-                        || self.cfg.regions.mode_of(stripe) == RegionMode::NeverProtect
-                    {
-                        continue;
-                    }
-                    let Some(uf) = self.layout.data_unit(stripe, disk) else {
-                        continue;
-                    };
-                    let candidate = shadow.xor_survivors(stripe, disk);
-                    shadow.write_data(stripe, uf, candidate);
-                    if int.verify(stripe, uf, candidate) {
-                        int.record_repair(stripe, uf);
-                    } else {
-                        int.record_declare(stripe, uf, candidate);
-                        scarred.insert(stripe, uf);
-                    }
-                }
-                self.shadow = Some(shadow);
+        let mut corrupt: Vec<u64> = self
+            .integrity
+            .as_ref()
+            .map(|int| int.live_corrupt().into_iter().map(|(s, _, _)| s).collect())
+            .unwrap_or_default();
+        corrupt.dedup();
+        for stripe in corrupt {
+            if scarred.contains_key(&stripe)
+                || self.cfg.regions.mode_of(stripe) == RegionMode::NeverProtect
+            {
+                continue;
             }
-            self.integrity = Some(int);
+            let Some(uf) = self.layout.data_unit(stripe, disk) else {
+                continue;
+            };
+            if self.reconstruct_dead_unit(stripe, disk, true) == IntegrityVerdict::Declared {
+                scarred.insert(stripe, uf);
+            }
         }
 
         self.degraded = Some(Degraded {
@@ -2796,6 +2737,23 @@ impl Controller {
 
         // Re-plan writes that were blocked behind the abandoned scrub.
         self.restart_blocked();
+    }
+
+    /// Rebuilds the dead disk's data unit on `stripe` in the shadow
+    /// model through the repair-or-declare rule
+    /// ([`IntegrityState::reconstruct`]), or by plain XOR when the
+    /// integrity subsystem is off.
+    fn reconstruct_dead_unit(&mut self, stripe: u64, disk: u32, fresh: bool) -> IntegrityVerdict {
+        let Some(shadow) = &mut self.shadow else {
+            return IntegrityVerdict::Clean;
+        };
+        match &mut self.integrity {
+            Some(int) => int.reconstruct(shadow, stripe, disk, fresh),
+            None => {
+                shadow.rebuild_unit(stripe, disk);
+                IntegrityVerdict::Clean
+            }
+        }
     }
 
     /// Re-enters every blocked request through the planning path (they

@@ -174,28 +174,13 @@ impl<'a> TraceRun<'a> {
             }
             Ev::FailDisk { disk } => {
                 c.handle(ev);
-                // Materialise latent-error arrivals up to the failure
-                // instant so the assessment sees the true exposure.
-                c.sync_latent();
-                self.loss = Some(assess_loss(
-                    c.layout(),
-                    c.marks(),
-                    c.shadow(),
-                    &self.cfg.regions,
-                    c.latent_errors(),
-                    c.integrity_state(),
-                    disk,
-                    c.now,
-                ));
-                if !self.opts.continue_degraded {
-                    // Fail-stop: mirror the old loop's `break`, which
-                    // skipped the end-of-iteration queue-peak update.
+                let fail_stop = !self.opts.continue_degraded;
+                self.lose_disk(disk, fail_stop, self.opts.spare_delay);
+                if fail_stop {
+                    // Mirror the old loop's `break`, which skipped the
+                    // end-of-iteration queue-peak update.
                     self.halted = true;
                     return false;
-                }
-                c.enter_degraded(disk);
-                if let Some(delay) = self.opts.spare_delay {
-                    c.events.schedule(c.now + delay, Ev::SpareInstalled);
                 }
             }
             Ev::Evict { disk } => {
@@ -211,28 +196,43 @@ impl<'a> TraceRun<'a> {
                     // end-of-iteration queue-peak update.
                     return true;
                 }
-                c.sync_latent();
-                self.loss = Some(assess_loss(
-                    c.layout(),
-                    c.marks(),
-                    c.shadow(),
-                    &self.cfg.regions,
-                    c.latent_errors(),
-                    c.integrity_state(),
-                    disk,
-                    c.now,
-                ));
-                c.enter_degraded(disk);
                 let delay = self
                     .opts
                     .spare_delay
                     .unwrap_or(self.cfg.faults.evict_spare_delay);
-                c.events.schedule(c.now + delay, Ev::SpareInstalled);
+                self.lose_disk(disk, false, Some(delay));
             }
             other => c.handle(other),
         }
         self.queue_peak = self.queue_peak.max(self.c.events.len());
         true
+    }
+
+    /// `disk` is gone, failed or evicted: assesses what it cost, with
+    /// latent-error arrivals materialised up to now so the assessment
+    /// sees the true exposure. Unless the run stops here (`fail_stop`),
+    /// the array goes degraded and a spare is installed `spare` later,
+    /// if given.
+    fn lose_disk(&mut self, disk: u32, fail_stop: bool, spare: Option<SimDuration>) {
+        let c = &mut self.c;
+        c.sync_latent();
+        self.loss = Some(assess_loss(
+            c.layout(),
+            c.marks(),
+            c.shadow(),
+            &self.cfg.regions,
+            c.latent_errors(),
+            c.integrity_state(),
+            disk,
+            c.now,
+        ));
+        if fail_stop {
+            return;
+        }
+        c.enter_degraded(disk);
+        if let Some(delay) = spare {
+            c.events.schedule(c.now + delay, Ev::SpareInstalled);
+        }
     }
 
     fn finish(mut self) -> RunResult {

@@ -342,13 +342,11 @@ pub fn assess_loss(
         if !dirty {
             if corrupt {
                 // The failed disk's unit reconstructs to whatever the
-                // poisoned XOR yields. When that candidate checksums
-                // back to the client's intent, the corruption was on
-                // the dead unit itself and the failure heals it; any
-                // other case is a loss.
+                // poisoned XOR yields: a loss unless the candidate
+                // checksums back to the client's intent (the rot was
+                // on the dead unit itself and the failure heals it).
                 if let (Some(unit), Some(shadow), Some(int)) = (failed_unit, shadow, integrity) {
-                    let candidate = shadow.xor_survivors(stripe, failed_disk);
-                    if !int.verify(stripe, unit, candidate) {
+                    if !int.reconstructs(shadow, stripe, failed_disk) {
                         report.corrupt_lost_units += 1;
                         report.corrupt_lost.push((stripe, unit));
                     }

@@ -530,8 +530,8 @@ pub struct RunMetrics {
     pub event_queue_peak: usize,
     /// Events per *simulated* second. Deterministic, unlike wall-clock
     /// event rates, so it is safe to include in serialized results that
-    /// bit-identity tests compare (perfbench reports the wall-clock
-    /// rate separately).
+    /// bit-identity tests compare (the repository benchmark reports the
+    /// wall-clock rate as `sim_events_per_s`).
     pub events_per_sim_sec: f64,
     /// Integrity-subsystem counters: silent faults injected, detected,
     /// repaired, declared; silent reads (zero under verify-on-read).

@@ -107,7 +107,7 @@ pub fn availability(cfg: &ArrayConfig, metrics: &RunMetrics) -> AvailabilityRepo
         DesignKind::Afraid => (metrics.frac_unprotected, metrics.mean_parity_lag_bytes),
         _ => (0.0, 0.0),
     };
-    AvailabilityReport::build_with_corruption(
+    AvailabilityReport::build(
         kind,
         &cfg.params,
         cfg.n_data(),

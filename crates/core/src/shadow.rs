@@ -124,9 +124,10 @@ impl ShadowArray {
     }
 
     /// Reference implementation of [`ShadowArray::compute_parity`]:
-    /// the scalar per-data-unit fold. Kept for the perfbench micro-axis
-    /// and the equivalence test; not used on the hot path.
-    pub fn compute_parity_scalar(&self, stripe: u64) -> u64 {
+    /// the scalar per-data-unit fold the equivalence test checks the
+    /// chunked fold against.
+    #[cfg(test)]
+    fn compute_parity_scalar(&self, stripe: u64) -> u64 {
         (0..self.layout.data_units())
             .map(|u| self.data_word(stripe, u))
             .fold(0, |a, w| a ^ w)
@@ -160,10 +161,19 @@ impl ShadowArray {
         self.row_xor(stripe) ^ self.word(stripe, failed_disk)
     }
 
+    /// Overwrites the unit on `disk` in `stripe` with the XOR of the
+    /// survivors — the word a reconstruction stores — and returns it.
+    pub fn rebuild_unit(&mut self, stripe: u64, disk: u32) -> u64 {
+        let word = self.xor_survivors(stripe, disk);
+        self.set_word(stripe, disk, word);
+        word
+    }
+
     /// Reference implementation of [`ShadowArray::xor_survivors`]: the
-    /// scalar filter-fold. Kept for the perfbench micro-axis and the
-    /// equivalence test; not used on the hot path.
-    pub fn xor_survivors_scalar(&self, stripe: u64, failed_disk: u32) -> u64 {
+    /// scalar filter-fold the equivalence test checks the chunked fold
+    /// against.
+    #[cfg(test)]
+    fn xor_survivors_scalar(&self, stripe: u64, failed_disk: u32) -> u64 {
         (0..self.layout.disks())
             .filter(|&d| d != failed_disk)
             .fold(0, |acc, d| acc ^ self.word(stripe, d))

@@ -59,9 +59,7 @@ fn manifest_problems(text: &str, dir: &Path, repo: &Path) -> Vec<String> {
             section = compact.trim_matches(['[', ']']).to_string();
         }
         lints_inherited |= section == "lints" && compact == "workspace=true";
-        if !section.ends_with("dependencies")
-            || !compact.contains('=')
-            || compact.starts_with('#')
+        if !section.ends_with("dependencies") || !compact.contains('=') || compact.starts_with('#')
         {
             continue;
         }
