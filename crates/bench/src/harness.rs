@@ -1,34 +1,28 @@
 //! Shared experiment plumbing: configurations, runs, parallel fan-out,
 //! and table formatting.
 //!
-//! Every bench binary takes the same CLI shape: an optional positional
-//! duration in simulated seconds, plus `--jobs N` to fan independent
-//! experiment cells over N worker threads (default: all cores, or
-//! `AFRAID_JOBS`) and `--cache`/`--no-cache` to replay memoised cell
-//! results from `target/cell-cache` (default off). Results are merged
-//! in matrix order, so the printed tables are byte-identical at any
-//! job count — and, by the cache's bit-identity guarantee, whether a
-//! cell was simulated or replayed.
+//! Cells fan out over `jobs` worker threads and, when a
+//! [`CellCache`] is given, replay memoised results from
+//! `target/cell-cache`. Results are merged in matrix order, so the
+//! printed tables are byte-identical at any job count — and, by the
+//! cache's bit-identity guarantee, whether a cell was simulated or
+//! replayed.
 
-use std::sync::Arc;
+use std::io::{self, Write};
 
 use afraid::config::ArrayConfig;
 use afraid::driver::{run_trace, RunOptions, RunResult};
 use afraid::policy::ParityPolicy;
 use afraid::report::availability;
 use afraid_avail::report::AvailabilityReport;
-use afraid_exp::{jobs_from_args, map_parallel, run_matrix, CacheKey, CellCache};
+use afraid_exp::{map_parallel, run_matrix, CacheKey, CellCache};
 use afraid_sim::time::SimDuration;
-use afraid_trace::record::Trace;
-use afraid_trace::workloads::{WorkloadKind, WorkloadSpec};
+use afraid_trace::workloads::WorkloadKind;
 use serde::{Deserialize, Serialize};
 
 /// Logical capacity the synthetic traces address: 7 GB, comfortably
 /// inside the 5 x 2 GB array's ~7.8 GB usable space.
 pub const TRACE_CAPACITY: u64 = 7 * 1024 * 1024 * 1024;
-
-/// Default simulated duration per run, seconds.
-pub const DEFAULT_DURATION_SECS: u64 = 600;
 
 /// Schema tag baked into every cache key and entry. Bump whenever the
 /// serialized shape of [`RunResult`] (or anything feeding it) changes
@@ -38,70 +32,6 @@ pub const DEFAULT_DURATION_SECS: u64 = 600;
 /// only, which changes runs that combine corruption with a disk
 /// failure or eviction.
 pub const RESULT_SCHEMA: &str = "afraid-cell-v3";
-
-/// Parsed common bench arguments.
-pub struct BenchArgs {
-    /// Simulated duration per run.
-    pub duration: SimDuration,
-    /// Worker threads for cell fan-out.
-    pub jobs: usize,
-    /// Replay memoised cell results from the cross-run cache.
-    pub cache: bool,
-}
-
-/// Parses `[duration_secs] [--jobs N] [--cache|--no-cache]` from the
-/// process arguments. The cache defaults to off; the last
-/// `--cache`/`--no-cache` wins.
-pub fn bench_args() -> BenchArgs {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let (jobs, rest) = jobs_from_args(&raw);
-    let mut cache = false;
-    let mut positional: Vec<String> = Vec::new();
-    for a in rest {
-        match a.as_str() {
-            "--cache" => cache = true,
-            "--no-cache" => cache = false,
-            _ => positional.push(a),
-        }
-    }
-    let secs = positional
-        .first()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_DURATION_SECS);
-    BenchArgs {
-        duration: SimDuration::from_secs(secs),
-        jobs,
-        cache,
-    }
-}
-
-/// Opens the cross-run cell cache at its conventional location when
-/// `--cache` was given, `None` otherwise.
-pub fn cell_cache(args: &BenchArgs) -> Option<CellCache> {
-    args.cache
-        .then(|| CellCache::new(CellCache::default_dir(), RESULT_SCHEMA))
-}
-
-/// Prints the cache counter summary if a cache was in use.
-pub fn print_cache_stats(cache: Option<&CellCache>) {
-    if let Some(c) = cache {
-        println!("{}", c.stats().summary());
-    }
-}
-
-/// Reads the duration from the first CLI argument, defaulting to
-/// [`DEFAULT_DURATION_SECS`].
-pub fn duration_from_args() -> SimDuration {
-    bench_args().duration
-}
-
-/// Workload seed: `AFRAID_SEED` or 42.
-pub fn seed() -> u64 {
-    std::env::var("AFRAID_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
-}
 
 /// The policy sweep of the paper's Figures 3 and 4: RAID 5 at one end,
 /// pure AFRAID at the other, `MTTDL_x` targets in between (hours),
@@ -130,18 +60,6 @@ pub fn headline_designs() -> Vec<(String, ParityPolicy)> {
     ]
 }
 
-/// Generates the synthetic trace for a workload.
-pub fn trace_for(kind: WorkloadKind, duration: SimDuration) -> Trace {
-    WorkloadSpec::preset(kind).generate(TRACE_CAPACITY, duration, seed())
-}
-
-/// Generates one shared trace per workload, fanning generation over
-/// `jobs` workers. Each `Arc<Trace>` is then shared by every policy
-/// cell of its row instead of being regenerated per cell.
-pub fn traces_for(kinds: &[WorkloadKind], duration: SimDuration, jobs: usize) -> Vec<Arc<Trace>> {
-    afraid_exp::generate_traces(jobs, kinds, TRACE_CAPACITY, duration, seed())
-}
-
 /// One finished experiment cell.
 pub struct Cell {
     /// Run measurements.
@@ -150,20 +68,12 @@ pub struct Cell {
     pub avail: AvailabilityReport,
 }
 
-/// Runs one (workload trace, policy) cell on the paper's array.
-pub fn run_cell(trace: &Trace, policy: ParityPolicy) -> Cell {
-    let cfg = ArrayConfig::paper_default(policy);
-    let result = run_trace(&cfg, trace, &RunOptions::default());
-    let avail = availability(&cfg, &result.metrics);
-    Cell { result, avail }
-}
-
 /// Builds the cache key for one cell from its full coordinates: base
 /// seed, trace identity (workload name, addressed capacity, duration),
 /// and the complete array configuration (which embeds the policy,
 /// `ScrubConfig` and `FaultConfig`). The builder itself salts in the
-/// schema tag and crate version. Shared by the bench binaries and
-/// `afraid-cli sweep`, so overlapping grids hit each other's entries.
+/// schema tag and crate version. `afraid-cli paper` and `sweep` key
+/// the same matrix cells alike, so they hit each other's entries.
 pub fn cell_key(
     cache: &CellCache,
     cfg: &ArrayConfig,
@@ -182,90 +92,59 @@ pub fn cell_key(
         .finish()
 }
 
-/// [`run_cell`] with optional cross-run memoisation. On a valid cache
-/// hit the simulation is skipped and the stored `RunResult` replayed;
-/// availability is cheaply recomputed from the replayed metrics.
-pub fn run_cell_cached(
-    trace: &Trace,
-    policy: ParityPolicy,
-    workload: &str,
-    capacity: u64,
-    duration: SimDuration,
-    seed: u64,
-    cache: Option<&CellCache>,
-) -> Cell {
-    let cfg = ArrayConfig::paper_default(policy);
-    let result = match cache {
-        Some(c) => {
-            let key = cell_key(c, &cfg, workload, capacity, duration, seed);
-            c.run_cached(&key, || run_trace(&cfg, trace, &RunOptions::default()))
-        }
-        None => run_trace(&cfg, trace, &RunOptions::default()),
-    };
-    let avail = availability(&cfg, &result.metrics);
-    Cell { result, avail }
+/// The coordinates every simulated cell of a run shares.
+#[derive(Clone, Copy)]
+pub struct Setup<'a> {
+    /// Simulated trace duration.
+    pub duration: SimDuration,
+    /// Workload-synthesis seed.
+    pub seed: u64,
+    /// Worker threads; output is byte-identical at any count.
+    pub jobs: usize,
+    /// Cross-run cell cache, if enabled.
+    pub cache: Option<&'a CellCache>,
 }
 
-/// Runs the full (trace × policy) matrix over `jobs` workers and
-/// returns rows in trace order, columns in policy order — the same
-/// shape and values a sequential double loop would produce.
-pub fn run_cells(
-    jobs: usize,
-    traces: &[Arc<Trace>],
-    policies: &[(String, ParityPolicy)],
-) -> Vec<Vec<Cell>> {
-    run_matrix(jobs, traces, policies, |trace, (_, policy), _| {
-        run_cell(trace, *policy)
-    })
-}
-
-/// [`run_cells`] with optional cross-run memoisation. `kinds` must be
-/// the workload list the traces were generated from (same order);
-/// `capacity` and `seed` are the trace-generation coordinates, which
-/// differ between the bench binaries ([`TRACE_CAPACITY`], [`seed`])
-/// and `afraid-cli sweep` (capacity derived from the array).
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the cell coordinates plus the jobs count and optional cache"
-)]
+/// Generates one trace per workload in `kinds`, addressing `capacity`
+/// bytes, and runs every (trace × policy) cell on the paper's array
+/// over `setup.jobs` workers. Returns rows in `kinds` order, columns in
+/// policy order — the same shape and values a sequential double loop
+/// would produce. On a valid cache hit a cell's simulation is skipped
+/// and the stored `RunResult` replayed; availability is cheaply
+/// recomputed from the replayed metrics.
 pub fn run_cells_cached(
-    jobs: usize,
+    setup: &Setup,
     kinds: &[WorkloadKind],
-    traces: &[Arc<Trace>],
     capacity: u64,
-    duration: SimDuration,
-    seed: u64,
     policies: &[(String, ParityPolicy)],
-    cache: Option<&CellCache>,
 ) -> Vec<Vec<Cell>> {
-    run_matrix(jobs, traces, policies, |trace, (_, policy), key| {
-        run_cell_cached(
-            trace,
-            *policy,
-            kinds[key.trace].name(),
-            capacity,
-            duration,
-            seed,
-            cache,
-        )
+    let Setup {
+        duration,
+        seed,
+        jobs,
+        cache,
+    } = *setup;
+    let traces = afraid_exp::generate_traces(jobs, kinds, capacity, duration, seed);
+    run_matrix(jobs, &traces, policies, |trace, (_, policy), key| {
+        let cfg = ArrayConfig::paper_default(*policy);
+        let run = || run_trace(&cfg, trace, &RunOptions::default());
+        let result = match cache {
+            Some(c) => {
+                let workload = kinds[key.trace].name();
+                c.run_cached(&cell_key(c, &cfg, workload, capacity, duration, seed), run)
+            }
+            None => run(),
+        };
+        let avail = availability(&cfg, &result.metrics);
+        Cell { result, avail }
     })
 }
 
 /// Fans heterogeneous per-cell configurations (ablation studies) over
-/// `jobs` workers, preserving input order.
-pub fn run_variants<T, R, F>(jobs: usize, variants: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    map_parallel(jobs, variants, |_, v| f(v))
-}
-
-/// [`run_variants`] with optional cross-run memoisation: `key_of`
-/// derives each variant's cache key (callers must fold in *every*
-/// coordinate the variant's result depends on — typically via
-/// [`cell_key`] or the cache's raw key builder).
+/// `jobs` workers, preserving input order, with optional cross-run
+/// memoisation: `key_of` derives each variant's cache key (callers
+/// must fold in *every* coordinate the variant's result depends on —
+/// typically via [`cell_key`] or the cache's raw key builder).
 pub fn run_variants_cached<T, R, F, K>(
     jobs: usize,
     variants: &[T],
@@ -305,14 +184,23 @@ pub fn bytes(b: f64) -> String {
     }
 }
 
-/// Prints a rule line matching a header's width.
-pub fn rule(width: usize) {
-    println!("{}", "-".repeat(width));
+/// Writes a rule line matching a header's width.
+pub fn rule(out: &mut dyn Write, width: usize) -> io::Result<()> {
+    writeln!(out, "{}", "-".repeat(width))
+}
+
+/// Writes a column header and a rule of its width.
+pub fn header(out: &mut dyn Write, header: &str) -> io::Result<()> {
+    writeln!(out, "{header}")?;
+    rule(out, header.len())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use afraid_trace::workloads::WorkloadSpec;
+
+    const SEED: u64 = 42;
 
     #[test]
     fn sweep_has_both_ends() {
@@ -333,32 +221,44 @@ mod tests {
 
     #[test]
     fn cell_runs_quickly_on_short_trace() {
-        let trace = trace_for(WorkloadKind::Hplajw, SimDuration::from_secs(20));
-        let cell = run_cell(&trace, ParityPolicy::IdleOnly);
-        assert_eq!(cell.result.metrics.requests as usize, trace.len());
-        assert!(cell.avail.mttdl_overall > 0.0);
+        let setup = Setup {
+            duration: SimDuration::from_secs(20),
+            seed: SEED,
+            jobs: 1,
+            cache: None,
+        };
+        let afraid = [("afraid".to_string(), ParityPolicy::IdleOnly)];
+        let rows = run_cells_cached(&setup, &[WorkloadKind::Hplajw], TRACE_CAPACITY, &afraid);
+        let trace = WorkloadSpec::preset(WorkloadKind::Hplajw).generate(
+            TRACE_CAPACITY,
+            setup.duration,
+            SEED,
+        );
+        assert_eq!(rows[0][0].result.metrics.requests as usize, trace.len());
+        assert!(rows[0][0].avail.mttdl_overall > 0.0);
     }
 
     #[test]
     fn matrix_matches_individual_cells() {
         let kinds = [WorkloadKind::Hplajw, WorkloadKind::Snake];
-        let duration = SimDuration::from_secs(10);
-        let traces = traces_for(&kinds, duration, 2);
+        let setup = Setup {
+            duration: SimDuration::from_secs(10),
+            seed: SEED,
+            jobs: 4,
+            cache: None,
+        };
         let policies = headline_designs();
-        let rows = run_cells(4, &traces, &policies);
+        let rows = run_cells_cached(&setup, &kinds, TRACE_CAPACITY, &policies);
         assert_eq!(rows.len(), 2);
-        for (t, row) in rows.iter().enumerate() {
+        for (kind, row) in kinds.into_iter().zip(&rows) {
             assert_eq!(row.len(), 3);
-            for (p, cell) in row.iter().enumerate() {
-                let solo = run_cell(&traces[t], policies[p].1);
-                assert_eq!(
-                    cell.result.metrics.mean_io_ms,
-                    solo.result.metrics.mean_io_ms
-                );
-                assert_eq!(
-                    cell.result.metrics.events_processed,
-                    solo.result.metrics.events_processed
-                );
+            let trace = WorkloadSpec::preset(kind).generate(TRACE_CAPACITY, setup.duration, SEED);
+            for ((_, policy), cell) in policies.iter().zip(row) {
+                let cfg = ArrayConfig::paper_default(*policy);
+                let solo = run_trace(&cfg, &trace, &RunOptions::default()).metrics;
+                let m = &cell.result.metrics;
+                assert_eq!(m.mean_io_ms, solo.mean_io_ms);
+                assert_eq!(m.events_processed, solo.events_processed);
             }
         }
     }

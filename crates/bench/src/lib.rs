@@ -1,22 +1,25 @@
-//! Experiment harness for the AFRAID reproduction.
+//! Experiment harness and command-line front door for the AFRAID
+//! reproduction.
 //!
-//! One binary per table/figure of the paper's evaluation section:
+//! * [`cli`] — `afraid-cli`, the workspace's only binary: one typed
+//!   parser for `run`, `sweep`, `paper`, `chaos`, `integrity`,
+//!   `workloads` and `policies`. `src/bin/afraid-cli.rs` is a thin
+//!   `main` around [`cli::main`], so tests drive the front end
+//!   in-process.
+//! * [`paper`] — the renderers behind `afraid-cli paper
+//!   <fig1|table1|table2|table3|table4|fig3|fig4|ablation|all>`, which
+//!   regenerates every table and figure of the paper's evaluation.
+//!   Tables 2–4 and Figures 3–4 read one workload × policy
+//!   [`paper::Matrix`], simulated once per call.
+//! * [`harness`] — cell plumbing: the policy sweep, cached matrix and
+//!   variant fan-out, and table formatting.
 //!
-//! | binary | regenerates |
-//! |---|---|
-//! | `fig1` | Figure 1 — the small-update problem (I/Os per write) |
-//! | `table1` | Table 1 — model parameters and derived sanity checks |
-//! | `table2` | Table 2 / Figure 2 — relative performance across workloads |
-//! | `table3` | Table 3 — parity lag, unprotected time, MDLR |
-//! | `table4` | Table 4 — disk-related and overall MTTDL |
-//! | `fig3` | Figure 3 — the performance/availability trade-off curve |
-//! | `fig4` | Figure 4 — per-trace performance vs parity-update policy |
-//! | `ablation` | design-choice ablations (beyond the paper) |
-//!
-//! Run them as `cargo run --release -p afraid-bench --bin table2`.
-//! Each accepts an optional first argument: the trace duration in
-//! simulated seconds (default 600; the EXPERIMENTS.md results use
-//! 1800). The `AFRAID_SEED` environment variable changes the
-//! workload-synthesis seed.
+//! Example: `cargo run --release --bin afraid-cli -- paper table2 --secs
+//! 1800` (every simulated artifact defaults to 600 s traces; the
+//! EXPERIMENTS.md results use 1800). This crate may read the clock, the
+//! environment and the file system (see its `clippy.toml`); the
+//! simulator crates may not.
 
+pub mod cli;
 pub mod harness;
+pub mod paper;

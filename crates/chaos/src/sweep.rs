@@ -25,6 +25,9 @@ pub fn cut_points(total_events: u64, n: usize) -> Vec<u64> {
     if n == 0 {
         return Vec::new();
     }
+    // Past one cut per event, more cuts only add duplicates; the cap
+    // keeps an outsized request from allocating for them.
+    let n = n.min(usize::try_from(total_events.max(1)).unwrap_or(usize::MAX));
     let mut cuts = Vec::with_capacity(n + 1);
     cuts.push(0);
     if n == 1 || total_events == 0 {
@@ -185,5 +188,10 @@ mod tests {
         let cuts = cut_points(3, 100);
         assert!(cuts.len() <= 5, "{cuts:?}");
         assert!(cuts.windows(2).all(|w| w[0] < w[1]));
+        for total in [0, 1, 2, 3, 1000] {
+            let all: Vec<u64> = (0..=total).collect();
+            assert_eq!(cut_points(total, usize::MAX), all);
+            assert_eq!(cut_points(total, 1_000_000), all);
+        }
     }
 }

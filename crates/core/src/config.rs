@@ -431,6 +431,27 @@ impl ArrayConfig {
     }
 }
 
+impl crate::driver::RunOptions {
+    /// Checks the options against the array they will run on, the
+    /// way [`ArrayConfig::validate`] checks the array itself. Each
+    /// message starts with the offending field's name and a colon.
+    /// The driver keeps its own assertions as invariants.
+    pub fn validate(&self, cfg: &ArrayConfig) -> Result<(), String> {
+        if let Some((disk, _)) = self.fail_disk {
+            if disk >= cfg.disks {
+                return Err(format!(
+                    "fail_disk: no such disk {disk} in a {}-disk array",
+                    cfg.disks
+                ));
+            }
+        }
+        if self.spare_delay.is_some() && !self.continue_degraded {
+            return Err("spare_delay: a spare needs continue_degraded".to_string());
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

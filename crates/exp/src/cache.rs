@@ -152,7 +152,7 @@ impl CacheStats {
         self.hits + self.misses + self.invalid
     }
 
-    /// One-line human summary, used by the bench binaries and the CLI.
+    /// One-line human summary, printed by `afraid-cli` after a table.
     pub fn summary(&self) -> String {
         format!(
             "cell cache: {} hits (simulation skipped), {} misses, {} invalid entries, {} stored",

@@ -35,4 +35,4 @@ pub mod pool;
 
 pub use cache::{CacheKey, CacheStats, CellCache, KeyBuilder};
 pub use matrix::{cell_rng, cell_seed, generate_traces, run_matrix, CellKey};
-pub use pool::{default_jobs, jobs_from_args, map_parallel};
+pub use pool::{default_jobs, map_parallel};

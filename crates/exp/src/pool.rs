@@ -21,39 +21,6 @@ pub fn default_jobs() -> usize {
         })
 }
 
-/// Extracts `--jobs N` (or `--jobs=N`) from a raw argument list,
-/// returning the resolved job count and the remaining arguments.
-/// Falls back to [`default_jobs`] when the flag is absent.
-///
-/// # Panics
-///
-/// Panics with a usage message if the flag is present but malformed.
-#[expect(clippy::panic, reason = "documented usage error")]
-pub fn jobs_from_args(args: &[String]) -> (usize, Vec<String>) {
-    let mut jobs = None;
-    let mut rest = Vec::with_capacity(args.len());
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--jobs" {
-            let v = it.next().unwrap_or_else(|| panic!("--jobs needs a value"));
-            jobs = Some(parse_jobs(v));
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            jobs = Some(parse_jobs(v));
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    (jobs.unwrap_or_else(default_jobs), rest)
-}
-
-#[expect(clippy::panic, reason = "documented usage error")]
-fn parse_jobs(v: &str) -> usize {
-    match v.parse::<usize>() {
-        Ok(n) if n > 0 => n,
-        _ => panic!("--jobs expects a positive integer, got {v:?}"),
-    }
-}
-
 /// Applies `f` to every item and returns the results **in input
 /// order**, computing up to `jobs` items concurrently.
 ///
@@ -169,24 +136,5 @@ mod tests {
     fn zero_jobs_is_sequential() {
         let items = vec![5u32, 6];
         assert_eq!(map_parallel(0, &items, |_, &x| x), vec![5, 6]);
-    }
-
-    #[test]
-    fn jobs_flag_parsing() {
-        let args: Vec<String> = ["600", "--jobs", "3", "extra"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (jobs, rest) = jobs_from_args(&args);
-        assert_eq!(jobs, 3);
-        assert_eq!(rest, vec!["600".to_string(), "extra".to_string()]);
-
-        let args: Vec<String> = vec!["--jobs=7".to_string()];
-        let (jobs, rest) = jobs_from_args(&args);
-        assert_eq!(jobs, 7);
-        assert!(rest.is_empty());
-
-        let (jobs, _) = jobs_from_args(&[]);
-        assert!(jobs >= 1);
     }
 }

@@ -10,7 +10,7 @@ use std::path::PathBuf;
 
 use afraid::config::ArrayConfig;
 use afraid::policy::ParityPolicy;
-use afraid_bench::harness::{self, Cell};
+use afraid_bench::harness::{self, Cell, Setup};
 use afraid_exp::CellCache;
 use afraid_sim::time::SimDuration;
 use afraid_trace::workloads::WorkloadKind;
@@ -39,10 +39,13 @@ fn matrix_blob(cache: Option<&CellCache>) -> String {
     let duration = SimDuration::from_secs(20);
     let kinds = kinds();
     let policies = harness::headline_designs();
-    let traces = afraid_exp::generate_traces(2, &kinds, CAPACITY, duration, SEED);
-    let rows: Vec<Vec<Cell>> = harness::run_cells_cached(
-        2, &kinds, &traces, CAPACITY, duration, SEED, &policies, cache,
-    );
+    let setup = Setup {
+        duration,
+        seed: SEED,
+        jobs: 2,
+        cache,
+    };
+    let rows: Vec<Vec<Cell>> = harness::run_cells_cached(&setup, &kinds, CAPACITY, &policies);
     let mut blob = String::new();
     for row in &rows {
         for cell in row {
