@@ -55,7 +55,7 @@ pub fn mdlr_afraid(params: &ModelParams, n: u32, mean_parity_lag: f64) -> BytesP
 /// coincides with an undetected bad sector on a survivor, roughly one
 /// stripe unit around the bad sector is unreconstructable. The event
 /// rate is `1/MTTDL_latent` (see
-/// [`mttdl_latent`](crate::mttdl::mttdl_latent)); each event costs
+/// [`mttdl_latent`]); each event costs
 /// `stripe_unit` bytes. Zero when the latent term is infinite.
 pub fn mdlr_latent(
     params: &ModelParams,
@@ -73,7 +73,7 @@ pub fn mdlr_latent(
 /// MDLR of the proactive-eviction loss mode: a survivor failing
 /// inside an eviction's rebuild window loses (conservatively) the
 /// evicted disk's worth of not-yet-rebuilt data. The event rate is
-/// `1/MTTDL_evict` (see [`mttdl_evict`](crate::mttdl::mttdl_evict)).
+/// `1/MTTDL_evict` (see [`mttdl_evict`]).
 /// Zero when the eviction term is infinite.
 pub fn mdlr_evict(
     params: &ModelParams,
@@ -91,7 +91,7 @@ pub fn mdlr_evict(
 /// MDLR of the silent-corruption loss mode: each unrepairable
 /// corruption costs roughly one stripe unit (the rotted data unit).
 /// The event rate is `1/MTTDL_corrupt` (see
-/// [`mttdl_corrupt`](crate::mttdl::mttdl_corrupt)). Zero when the
+/// [`mttdl_corrupt`]). Zero when the
 /// corruption term is infinite.
 pub fn mdlr_corrupt(params: &ModelParams, rate_per_hour: f64, p_unrepairable: f64) -> BytesPerHour {
     let mttdl = mttdl_corrupt(rate_per_hour, p_unrepairable);

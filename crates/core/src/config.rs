@@ -43,8 +43,6 @@ pub struct ArrayConfig {
     /// Maintain the shadow content model (verifies parity arithmetic;
     /// costs a few MB and a little CPU).
     pub shadow: bool,
-    /// Spin-synchronise the spindles (the paper's setting).
-    pub spin_synchronized: bool,
     /// Per-region redundancy overrides (paper §5); empty = the whole
     /// array follows `policy`.
     pub regions: RegionMap,
@@ -109,10 +107,6 @@ pub struct FaultConfig {
     pub io_timeout: SimDuration,
     /// Retries after a failed first attempt, with exponential backoff.
     pub max_retries: u32,
-    /// Backoff before the first retry; doubles per subsequent retry.
-    pub retry_backoff: SimDuration,
-    /// Stop retrying an I/O this long after its first attempt.
-    pub request_deadline: SimDuration,
     /// EWMA health score at which a disk is proactively evicted
     /// (0 disables eviction).
     pub evict_threshold: f64,
@@ -216,8 +210,6 @@ impl Default for FaultConfig {
             timeout_per_io: 0.0,
             io_timeout: SimDuration::from_millis(500),
             max_retries: 4,
-            retry_backoff: SimDuration::from_millis(2),
-            request_deadline: SimDuration::from_secs(10),
             evict_threshold: 0.0,
             health_alpha: 0.3,
             evict_spare_delay: SimDuration::from_secs(10),
@@ -242,7 +234,6 @@ impl ArrayConfig {
             read_cache_bytes: 256 * 1024,
             params: ModelParams::default(),
             shadow: false,
-            spin_synchronized: true,
             regions: RegionMap::none(),
             scrub: ScrubConfig::default(),
             faults: FaultConfig::default(),
@@ -265,7 +256,6 @@ impl ArrayConfig {
             read_cache_bytes: 0,
             params: ModelParams::default(),
             shadow: true,
-            spin_synchronized: true,
             regions: RegionMap::none(),
             scrub: ScrubConfig::default(),
             faults: FaultConfig::default(),
@@ -302,7 +292,6 @@ impl ArrayConfig {
             read_cache_bytes,
             params,
             shadow,
-            spin_synchronized,
             regions,
             scrub,
             faults,
@@ -314,8 +303,8 @@ impl ArrayConfig {
              host_policy:{host_policy:?};idle_delay:{idle_delay:?};\
              scrub_batch:{scrub_batch:?};mark_granularity:{mark_granularity:?};\
              read_cache_bytes:{read_cache_bytes:?};params:{params:?};\
-             shadow:{shadow:?};spin_synchronized:{spin_synchronized:?};\
-             regions:{regions:?};scrub:{scrub:?};faults:{faults:?};\
+             shadow:{shadow:?};regions:{regions:?};\
+             scrub:{scrub:?};faults:{faults:?};\
              integrity:{integrity:?}"
         )
     }
@@ -335,6 +324,14 @@ impl ArrayConfig {
                 self.stripe_unit_bytes
             ));
         }
+        let unit_sectors = self.stripe_unit_bytes / 512;
+        let rows = u64::from(self.mark_granularity.bits());
+        if !unit_sectors.is_multiple_of(rows) {
+            return Err(format!(
+                "mark granularity of {rows} rows must divide the stripe unit \
+                 ({unit_sectors} sectors)"
+            ));
+        }
         if self.scrub_batch == 0 {
             return Err("scrub batch must be at least one stripe".to_string());
         }
@@ -342,7 +339,6 @@ impl ArrayConfig {
             return Err("idle delay must be positive".to_string());
         }
         self.params.validate()?;
-        let unit_sectors = self.stripe_unit_bytes / 512;
         if self.disk_model.geometry.capacity_sectors() < unit_sectors {
             return Err("disk smaller than one stripe unit".to_string());
         }
@@ -377,12 +373,6 @@ impl ArrayConfig {
         }
         if f.io_timeout.is_zero() {
             return Err("I/O timeout must be positive".to_string());
-        }
-        if f.retry_backoff.is_zero() {
-            return Err("retry backoff must be positive".to_string());
-        }
-        if f.request_deadline.is_zero() {
-            return Err("request deadline must be positive".to_string());
         }
         if f.max_retries > 16 {
             return Err(format!("max retries must be <= 16, got {}", f.max_retries));
@@ -511,11 +501,6 @@ mod tests {
                 c.shadow = !base.shadow;
                 c
             }),
-            ("spin_synchronized", {
-                let mut c = base.clone();
-                c.spin_synchronized = !base.spin_synchronized;
-                c
-            }),
             ("scrub.iops_budget", {
                 let mut c = base.clone();
                 c.scrub.iops_budget += 1.0;
@@ -555,6 +540,11 @@ mod tests {
 
         let mut c = ArrayConfig::small_test(ParityPolicy::IdleOnly);
         c.stripe_unit_bytes = 1000;
+        assert!(c.validate().is_err());
+
+        let mut c = ArrayConfig::small_test(ParityPolicy::IdleOnly);
+        c.mark_granularity = MarkGranularity::rows(32);
+        assert_eq!(c.stripe_unit_bytes / 512, 16);
         assert!(c.validate().is_err());
 
         let mut c = ArrayConfig::small_test(ParityPolicy::IdleOnly);

@@ -84,6 +84,14 @@ const BURST_EWMA_ALPHA: f64 = 0.3;
 /// the controller.
 const FAILED_IO_LATENCY: SimDuration = SimDuration::from_micros(50);
 
+/// Backoff before the first retry of a failed disk I/O; it doubles
+/// with each further retry.
+const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(2);
+
+/// A failed disk I/O is not retried later than this after its first
+/// attempt.
+const REQUEST_DEADLINE: SimDuration = SimDuration::from_secs(10);
+
 /// Which half of a torn write reaches the platter: the new payload's
 /// upper word half lands, the lower half keeps the old bytes.
 const TORN_KEEP_MASK: u64 = 0xffff_ffff_0000_0000;
@@ -394,8 +402,7 @@ impl Controller {
     /// # Panics
     ///
     /// Panics if the configuration fails validation (see
-    /// [`ArrayConfig::validate`]) or the marking granularity does not
-    /// divide the stripe unit evenly.
+    /// [`ArrayConfig::validate`]).
     #[expect(
         clippy::panic,
         reason = "documented construction-time validation: fails before any event is scheduled"
@@ -404,24 +411,12 @@ impl Controller {
         if let Err(e) = cfg.validate() {
             panic!("invalid array config: {e}");
         }
-        let unit_sectors = cfg.stripe_unit_bytes / 512;
-        let m = u64::from(cfg.mark_granularity.bits());
-        assert!(
-            unit_sectors.is_multiple_of(m),
-            "mark granularity {m} must divide the stripe unit ({unit_sectors} sectors)"
-        );
         let disk_sectors = cfg.disk_model.geometry.capacity_sectors();
         let layout = Layout::new(cfg.disks, cfg.stripe_unit_bytes, disk_sectors);
-        let rev = cfg.disk_model.revolution();
+        // Spin-synchronised spindles (paper §4.1): every disk shares
+        // phase zero.
         let mut disks: Vec<Disk> = (0..cfg.disks)
-            .map(|i| {
-                let phase = if cfg.spin_synchronized {
-                    SimDuration::ZERO
-                } else {
-                    rev * u64::from(i) / u64::from(cfg.disks)
-                };
-                Disk::new(cfg.disk_model.clone(), phase)
-            })
+            .map(|_| Disk::new(cfg.disk_model.clone(), SimDuration::ZERO))
             .collect();
         // Transient-fault injection: one forked RNG substream per disk
         // so per-disk fault processes are independent and the whole
@@ -614,11 +609,6 @@ impl Controller {
         self.lag_bytes
     }
 
-    /// True while a failed disk is unreplaced or being rebuilt.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.is_some()
-    }
-
     /// The current simulated instant.
     pub fn now(&self) -> SimTime {
         self.now
@@ -689,11 +679,6 @@ impl Controller {
     /// The rebuild sweep, while one is running.
     fn rebuild_mut(&mut self) -> Option<&mut Rebuild> {
         self.degraded.as_mut()?.rebuild.as_mut()
-    }
-
-    /// Per-disk statistics.
-    pub fn disk_stats(&self) -> Vec<afraid_disk::disk::DiskStats> {
-        self.disks.iter().map(|d| d.stats()).collect()
     }
 
     fn observations(&self) -> Observations {
@@ -1882,11 +1867,10 @@ impl Controller {
                     self.metrics.record_timeout();
                     self.health.as_mut().is_some_and(|h| h.record_timeout(disk))
                 };
-                let f = &self.cfg.faults;
-                let backoff = f.retry_backoff * (1u64 << (fl.attempts - 1).min(16));
+                let backoff = RETRY_BACKOFF * (1u64 << (fl.attempts - 1).min(16));
                 let retry_at = self.now + backoff;
-                if fl.attempts <= f.max_retries
-                    && retry_at < fl.first_issued + f.request_deadline
+                if fl.attempts <= self.cfg.faults.max_retries
+                    && retry_at < fl.first_issued + REQUEST_DEADLINE
                     && !self.disk(disk).is_failed()
                 {
                     self.flight_mut(id).attempts += 1;

@@ -3,11 +3,7 @@
 //!
 //! The baseline AFRAID uses a timer-based detector: once the array has
 //! been completely idle — no active client requests and no new
-//! arrivals — for 100 ms, background parity rebuilding may start. The
-//! [`IdlePredictor`] adds the Golding-style refinement: an
-//! exponentially weighted estimate of how long idle periods last, so
-//! policies can decide whether a just-started idle period is likely to
-//! fit useful scrub work.
+//! arrivals — for 100 ms, background parity rebuilding may start.
 
 use afraid_sim::time::{SimDuration, SimTime};
 
@@ -78,48 +74,6 @@ impl IdleDetector {
     }
 }
 
-/// Exponentially weighted estimator of idle-period duration.
-///
-/// Feed it the length of each completed idle period; it predicts the
-/// next one. Used by the `Conservative` policy to judge whether the
-/// workload leaves enough slack to keep the redundancy deficit low.
-#[derive(Clone, Debug)]
-pub struct IdlePredictor {
-    alpha: f64,
-    estimate: Option<f64>,
-}
-
-impl IdlePredictor {
-    /// Creates a predictor with smoothing factor `alpha` in `(0, 1]`
-    /// (weight of the newest observation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `alpha` is out of range.
-    pub fn new(alpha: f64) -> IdlePredictor {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha out of range: {alpha}");
-        IdlePredictor {
-            alpha,
-            estimate: None,
-        }
-    }
-
-    /// Records a completed idle period.
-    pub fn record(&mut self, idle: SimDuration) {
-        let x = idle.as_secs_f64();
-        self.estimate = Some(match self.estimate {
-            None => x,
-            Some(e) => self.alpha * x + (1.0 - self.alpha) * e,
-        });
-    }
-
-    /// Predicted duration of the next idle period, if any history
-    /// exists.
-    pub fn predict(&self) -> Option<SimDuration> {
-        self.estimate.map(SimDuration::from_secs_f64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,34 +138,5 @@ mod tests {
         d.on_completion(SimTime::from_millis(210));
         assert_eq!(d.active(), 0);
         assert!(d.is_idle(SimTime::from_millis(310)));
-    }
-
-    #[test]
-    fn predictor_warms_up() {
-        let mut p = IdlePredictor::new(0.5);
-        assert_eq!(p.predict(), None);
-        p.record(SimDuration::from_secs(2));
-        assert_eq!(p.predict(), Some(SimDuration::from_secs(2)));
-        p.record(SimDuration::from_secs(4));
-        assert_eq!(p.predict(), Some(SimDuration::from_secs(3)));
-    }
-
-    #[test]
-    fn predictor_tracks_shifts() {
-        let mut p = IdlePredictor::new(0.3);
-        for _ in 0..50 {
-            p.record(SimDuration::from_secs(1));
-        }
-        for _ in 0..50 {
-            p.record(SimDuration::from_secs(10));
-        }
-        let e = p.predict().unwrap().as_secs_f64();
-        assert!(e > 9.0, "estimate {e} failed to track the shift");
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha out of range")]
-    fn predictor_rejects_bad_alpha() {
-        let _ = IdlePredictor::new(0.0);
     }
 }

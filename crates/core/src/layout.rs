@@ -249,19 +249,6 @@ impl Layout {
             cur += take;
         }
     }
-
-    /// Iterator over the stripes touched by a byte range, with the set
-    /// of data units written in each (as a bitmask over unit indices).
-    pub fn stripes_touched(&self, offset: u64, bytes: u64) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> = Vec::new();
-        for s in self.map_range(offset, bytes) {
-            match out.last_mut() {
-                Some((stripe, mask)) if *stripe == s.stripe => *mask |= 1 << s.unit,
-                _ => out.push((s.stripe, 1 << s.unit)),
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -395,19 +382,12 @@ mod tests {
     }
 
     #[test]
-    fn stripes_touched_masks() {
-        let l = small();
-        let t = l.stripes_touched(4096, 20480);
-        assert_eq!(t, vec![(0, 0b0111)]);
-        let t = l.stripes_touched(3 * 8192, 2 * 8192);
-        assert_eq!(t, vec![(0, 0b1000), (1, 0b0001)]);
-    }
-
-    #[test]
     fn whole_stripe_mask_is_full() {
         let l = small();
-        let t = l.stripes_touched(0, 4 * 8192);
-        assert_eq!(t, vec![(0, 0b1111)]);
+        let s = l.map_range(0, 4 * 8192);
+        assert!(s.iter().all(|x| x.stripe == 0 && x.full_unit));
+        let mask = s.iter().fold(0u64, |m, x| m | 1 << x.unit);
+        assert_eq!(mask, 0b1111);
     }
 
     #[test]

@@ -349,11 +349,6 @@ impl MetricsBuilder {
         self.event_queue_peak = queue_peak;
     }
 
-    /// Current parity lag (bytes).
-    pub fn current_lag(&self) -> f64 {
-        self.lag.current()
-    }
-
     /// Fraction of elapsed time with non-zero parity lag, up to `now`.
     pub fn frac_unprotected(&self, now: SimTime) -> f64 {
         self.lag.fraction_positive(now)

@@ -185,26 +185,10 @@ impl MarkingMemory {
         self.dirty
     }
 
-    /// The lowest marked stripe at or after `from`, wrapping around.
-    /// Returns `None` when everything is clean. The scrubber uses this
-    /// to sweep in disk order, which is what makes coalescing adjacent
-    /// stripes effective.
-    pub fn next_marked(&self, from: u64) -> Option<u64> {
-        if self.dirty == 0 {
-            return None;
-        }
-        let n = self.rows.len() as u64;
-        let start = from % n;
-        self.dirty_set
-            .range(start..)
-            .next()
-            .or_else(|| self.dirty_set.iter().next())
-            .copied()
-    }
-
     /// Up to `limit` marked stripes in cyclic order starting at
-    /// `from`. The scrubber uses this to assemble a batch in one
-    /// O(limit log n) query.
+    /// `from` (taken modulo the stripe count). The scrubber uses this
+    /// to assemble a batch in one O(limit log n) query; sweeping in
+    /// disk order is what makes coalescing adjacent stripes effective.
     pub fn marked_from(&self, from: u64, limit: usize) -> Vec<u64> {
         if self.dirty == 0 || limit == 0 {
             return Vec::new();
@@ -294,20 +278,25 @@ mod tests {
     }
 
     #[test]
-    fn next_marked_scans_in_order() {
+    fn marked_from_wraps_in_cyclic_order() {
         let mut m = MarkingMemory::new(10, MarkGranularity::STRIPE);
-        m.mark(2, 0, 1);
-        m.mark(5, 0, 1);
-        m.mark(9, 0, 1);
-        assert_eq!(m.next_marked(0), Some(2));
-        assert_eq!(m.next_marked(3), Some(5));
-        assert_eq!(m.next_marked(6), Some(9));
-        // Wraps.
-        assert_eq!(m.next_marked(10), Some(2));
-        m.clear(2);
-        m.clear(5);
-        m.clear(9);
-        assert_eq!(m.next_marked(0), None);
+        for s in [2, 5, 7] {
+            m.mark(s, 0, 1);
+        }
+        assert_eq!(m.marked_from(0, 10), vec![2, 5, 7]);
+        assert_eq!(m.marked_from(3, 10), vec![5, 7, 2]);
+        // A start past the last mark wraps to the lowest one.
+        assert_eq!(m.marked_from(8, 10), vec![2, 5, 7]);
+        // A start at or beyond the stripe count is taken modulo it.
+        assert_eq!(m.marked_from(10, 10), vec![2, 5, 7]);
+        assert_eq!(m.marked_from(13, 10), vec![5, 7, 2]);
+        // The limit caps the batch below the dirty count.
+        assert_eq!(m.marked_from(6, 2), vec![7, 2]);
+        assert!(m.marked_from(0, 0).is_empty());
+        for s in [2, 5, 7] {
+            m.clear(s);
+        }
+        assert!(m.marked_from(0, 10).is_empty());
     }
 
     #[test]

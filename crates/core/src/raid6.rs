@@ -11,8 +11,6 @@
 //! The paper sketches this in a paragraph; this module makes it
 //! quantitative:
 //!
-//! * [`Raid6Layout`] — dual rotating parity placement (P and Q on
-//!   distinct disks per stripe, both rotating left-symmetrically);
 //! * write-path cost functions for the four designs (RAID 6, deferred
 //!   Q, deferred P+Q, RAID 0);
 //! * MTTDL models extending equations 1 and 2a–c to two parities:
@@ -38,60 +36,6 @@ use afraid_avail::mttdl::combine;
 use afraid_avail::params::ModelParams;
 use afraid_avail::Hours;
 use serde::{Deserialize, Serialize};
-
-/// Dual-parity stripe placement over `disks` spindles.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct Raid6Layout {
-    disks: u32,
-}
-
-impl Raid6Layout {
-    /// Creates a layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `disks >= 4` (two parities plus at least two data
-    /// units).
-    pub fn new(disks: u32) -> Raid6Layout {
-        assert!(disks >= 4, "RAID 6 needs at least 4 disks, got {disks}");
-        Raid6Layout { disks }
-    }
-
-    /// Number of spindles.
-    pub fn disks(&self) -> u32 {
-        self.disks
-    }
-
-    /// Data units per stripe (`disks - 2`).
-    pub fn data_units(&self) -> u32 {
-        self.disks - 2
-    }
-
-    /// Disk holding the P parity of `stripe` (rotates like the RAID 5
-    /// left-symmetric parity).
-    pub fn p_disk(&self, stripe: u64) -> u32 {
-        let n = u64::from(self.disks);
-        (self.disks - 1) - (stripe % n) as u32
-    }
-
-    /// Disk holding the Q parity of `stripe`: the disk before P,
-    /// wrapping.
-    pub fn q_disk(&self, stripe: u64) -> u32 {
-        (self.p_disk(stripe) + self.disks - 1) % self.disks
-    }
-
-    /// Disk holding data unit `unit` of `stripe`: units fill the disks
-    /// after P, skipping Q's slot by construction (Q sits immediately
-    /// before P, so the run of `disks - 2` units never reaches it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `unit` is out of range.
-    pub fn data_disk(&self, stripe: u64, unit: u32) -> u32 {
-        assert!(unit < self.data_units(), "unit {unit} out of range");
-        (self.p_disk(stripe) + 1 + unit) % self.disks
-    }
-}
 
 /// The four write-path designs of the §5 discussion.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -216,32 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn layout_places_p_q_and_data_disjointly() {
-        let l = Raid6Layout::new(6);
-        assert_eq!(l.data_units(), 4);
-        for stripe in 0..32 {
-            let mut seen = [false; 6];
-            seen[l.p_disk(stripe) as usize] = true;
-            assert!(!seen[l.q_disk(stripe) as usize], "P and Q collide");
-            seen[l.q_disk(stripe) as usize] = true;
-            for u in 0..l.data_units() {
-                let d = l.data_disk(stripe, u) as usize;
-                assert!(!seen[d], "unit {u} collides in stripe {stripe}");
-                seen[d] = true;
-            }
-            assert!(seen.iter().all(|&s| s));
-        }
-    }
-
-    #[test]
-    fn parity_rotates_across_all_disks() {
-        let l = Raid6Layout::new(5);
-        let mut p_disks: Vec<u32> = (0..5).map(|s| l.p_disk(s)).collect();
-        p_disks.sort_unstable();
-        assert_eq!(p_disks, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
     fn small_write_costs_match_the_paper_story() {
         // "A RAID 6 array ... pays an even higher penalty": 6 > 4 I/Os.
         assert_eq!(small_write_ios(Raid6Mode::Full), 6);
@@ -312,11 +230,5 @@ mod tests {
     #[should_panic(expected = "inconsistent stale fractions")]
     fn defer_both_rejects_inconsistent_fractions() {
         let _ = mttdl_defer_both(&p(), 4, 0.1, 0.2);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 4 disks")]
-    fn layout_rejects_tiny_arrays() {
-        let _ = Raid6Layout::new(3);
     }
 }

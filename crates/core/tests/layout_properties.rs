@@ -120,6 +120,6 @@ proptest! {
             m.clear(s);
         }
         prop_assert_eq!(m.marked_count(), 0);
-        prop_assert!(m.next_marked(0).is_none());
+        prop_assert!(m.marked_from(0, stripes as usize).is_empty());
     }
 }

@@ -26,11 +26,9 @@
 use afraid_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
-use crate::cache::SegmentedCache;
 use crate::fault::{Fault, FaultInjector, IoOutcome};
 use crate::geometry::Chs;
 use crate::model::DiskModel;
-use crate::SECTOR_BYTES;
 
 /// Read or write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -69,8 +67,6 @@ pub struct DiskStats {
     pub transfer_time: SimDuration,
     /// Total busy time (all service components).
     pub busy_time: SimDuration,
-    /// Reads served from the on-drive cache.
-    pub cache_hits: u64,
     /// Commands that reported a transient media error.
     pub media_errors: u64,
     /// Commands that exceeded the command timeout.
@@ -84,7 +80,6 @@ pub struct Disk {
     rev_ns: u64,
     /// `model.seek.track_to_track()`, cached at construction.
     track_to_track: SimDuration,
-    cache: SegmentedCache,
     /// Spindle phase offset; equal phases = spin-synchronised.
     phase: SimDuration,
     /// Arm position after the last serviced request.
@@ -98,14 +93,12 @@ pub struct Disk {
 }
 
 impl Disk {
-    /// Creates a disk with the given model and spin phase, with the
-    /// on-drive cache disabled (the paper's configuration).
+    /// Creates a disk with the given model and spin phase.
     pub fn new(model: DiskModel, phase: SimDuration) -> Self {
         Disk {
             rev_ns: model.revolution().as_nanos(),
             track_to_track: model.seek.track_to_track(),
             model,
-            cache: SegmentedCache::disabled(),
             phase,
             cur_cyl: 0,
             free_at: SimTime::ZERO,
@@ -113,12 +106,6 @@ impl Disk {
             stats: DiskStats::default(),
             faults: None,
         }
-    }
-
-    /// Enables the on-drive segmented cache.
-    pub fn with_cache(mut self, cache: SegmentedCache) -> Self {
-        self.cache = cache;
-        self
     }
 
     /// Installs a transient-fault process. Without one the disk never
@@ -178,12 +165,11 @@ impl Disk {
     }
 
     /// Swaps in a spare: the fresh drive starts idle at cylinder 0
-    /// with no history — statistics, the busy horizon, the cache and
-    /// any fail-slow limp all belong to the unit that was pulled.
+    /// with no history — statistics, the busy horizon and any
+    /// fail-slow limp all belong to the unit that was pulled.
     pub fn replace(&mut self) {
         self.failed = false;
         self.cur_cyl = 0;
-        self.cache.clear();
         self.free_at = SimTime::ZERO;
         self.stats = DiskStats::default();
         if let Some(inj) = &mut self.faults {
@@ -276,20 +262,8 @@ impl Disk {
     }
 
     /// Computes the service time of `req` starting at `start`, updating
-    /// arm position and cache state.
+    /// the arm position.
     fn service_time(&mut self, start: SimTime, req: &DiskRequest) -> SimDuration {
-        match req.op {
-            OpKind::Read => {
-                if self.cache.hit(req.lba, req.sectors) {
-                    self.stats.cache_hits += 1;
-                    return self.bus_time(req.sectors) + self.model.read_overhead;
-                }
-            }
-            OpKind::Write => {
-                self.cache.invalidate(req.lba, req.sectors);
-            }
-        }
-
         let overhead = match req.op {
             OpKind::Read => self.model.read_overhead,
             OpKind::Write => self.model.write_overhead,
@@ -315,10 +289,6 @@ impl Disk {
         let (transfer, end_cyl) = self.transfer_time(target, spt, req.sectors);
         self.stats.transfer_time += transfer;
         self.cur_cyl = end_cyl;
-
-        if req.op == OpKind::Read {
-            self.cache.insert(req.lba, req.sectors);
-        }
 
         overhead + seek + rot + transfer
     }
@@ -380,11 +350,6 @@ impl Disk {
             }
         }
     }
-
-    /// Bus transfer time for a cache hit.
-    fn bus_time(&self, sectors: u64) -> SimDuration {
-        SimDuration::from_secs_f64(sectors as f64 * SECTOR_BYTES as f64 / self.model.bus_rate)
-    }
 }
 
 /// The service-time computation as it stood before the per-disk
@@ -402,17 +367,6 @@ mod reference {
             start: SimTime,
             req: &DiskRequest,
         ) -> SimDuration {
-            match req.op {
-                OpKind::Read => {
-                    if self.cache.hit(req.lba, req.sectors) {
-                        self.stats.cache_hits += 1;
-                        return self.bus_time(req.sectors) + self.model.read_overhead;
-                    }
-                }
-                OpKind::Write => {
-                    self.cache.invalidate(req.lba, req.sectors);
-                }
-            }
             let overhead = match req.op {
                 OpKind::Read => self.model.read_overhead,
                 OpKind::Write => self.model.write_overhead,
@@ -430,9 +384,6 @@ mod reference {
             self.stats.transfer_time += transfer;
             let end = self.model.geometry.locate(req.lba + req.sectors - 1);
             self.cur_cyl = end.cyl;
-            if req.op == OpKind::Read {
-                self.cache.insert(req.lba, req.sectors);
-            }
             overhead + seek + rot + transfer
         }
 
@@ -613,29 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_hit_skips_mechanics() {
-        let mut d = Disk::new(DiskModel::test_disk(), SimDuration::ZERO)
-            .with_cache(SegmentedCache::new(4, 256));
-        let t1 = d.submit(SimTime::ZERO, &read(50, 8)).expect_ok();
-        let t2 = d.submit(t1, &read(50, 8)).expect_ok();
-        // Bus time for 8 sectors at 10 MB/s = 409.6 us, well under the
-        // mechanical time.
-        assert!(t2 - t1 < SimDuration::from_millis(1));
-        assert_eq!(d.stats().cache_hits, 1);
-    }
-
-    #[test]
-    fn write_invalidates_cache() {
-        let mut d = Disk::new(DiskModel::test_disk(), SimDuration::ZERO)
-            .with_cache(SegmentedCache::new(4, 256));
-        let t1 = d.submit(SimTime::ZERO, &read(50, 8)).expect_ok();
-        let t2 = d.submit(t1, &write(52, 2)).expect_ok();
-        let t3 = d.submit(t2, &read(50, 8)).expect_ok();
-        assert_eq!(d.stats().cache_hits, 0);
-        assert!(t3 - t2 > SimDuration::from_millis(1));
-    }
-
-    #[test]
     fn spin_phase_shifts_rotation() {
         let mut a = Disk::new(DiskModel::test_disk(), SimDuration::ZERO);
         let mut b = Disk::new(DiskModel::test_disk(), SimDuration::from_millis(5));
@@ -809,9 +737,9 @@ mod tests {
     /// The cached-constant service-time path is bit-identical to the
     /// reference computation: outcome, statistics, busy horizon and
     /// arm cylinder after every one of a seeded stream of reads and
-    /// writes that cross track, cylinder and zone boundaries, with the
-    /// segmented cache on, transient faults drawn and a fail-slow
-    /// window covering part of the stream.
+    /// writes that cross track, cylinder and zone boundaries, with
+    /// transient faults drawn and a fail-slow window covering part of
+    /// the stream.
     #[test]
     fn service_time_matches_the_reference_computation() {
         const REQUESTS: usize = 12_000;
@@ -835,7 +763,7 @@ mod tests {
                 .filter(|&edge| edge < cap)
                 .collect();
             let build = || {
-                let mut d = Disk::new(model.clone(), phase).with_cache(SegmentedCache::new(4, 256));
+                let mut d = Disk::new(model.clone(), phase);
                 d.set_fault_injector(
                     FaultInjector::new(profile(0.01, 0.005), SplitMix64::new(77)).with_fail_slow(
                         FailSlowWindow {
@@ -864,7 +792,7 @@ mod tests {
                         let edge = zone_edges[rng.next_below(zone_edges.len() as u64) as usize];
                         edge.saturating_sub(rng.next_below(sectors + 1))
                     }
-                    // Re-read recent data, for cache hits.
+                    // Re-read recent data: a zero-distance seek.
                     1 => last_lba,
                     _ => rng.next_below(cap),
                 }
@@ -921,10 +849,7 @@ mod tests {
                 "{}: no zone crossings",
                 model.name
             );
-            assert!(
-                s.cache_hits > 0 && s.media_errors > 0 && s.timeouts > 0,
-                "{s:?}"
-            );
+            assert!(s.media_errors > 0 && s.timeouts > 0, "{s:?}");
             assert!(
                 now > SimTime::from_secs(60),
                 "stream ends inside the fail-slow window"

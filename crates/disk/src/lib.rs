@@ -17,9 +17,6 @@
 //!   every disk the same phase ([`disk`]).
 //! * **Skewed layout** — track and cylinder skew hide head-switch and
 //!   track-to-track-seek times during sequential transfers.
-//! * **On-drive cache** — a small segmented read cache with optional
-//!   read-ahead ([`cache`]). The AFRAID experiments run with it
-//!   disabled, as the paper deliberately minimised cache effects.
 //! * **Request schedulers** — FCFS, CLOOK, SSTF and SCAN ([`sched`]);
 //!   the paper uses CLOOK in the host driver and FCFS at the back end.
 //! * **Transient faults** — an optional deterministic per-I/O fault
@@ -34,7 +31,6 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![deny(clippy::panic, clippy::unimplemented)]
 
-pub mod cache;
 pub mod disk;
 pub mod fault;
 pub mod geometry;
@@ -42,7 +38,6 @@ pub mod model;
 pub mod sched;
 pub mod seek;
 
-pub use cache::SegmentedCache;
 pub use disk::{Disk, DiskRequest, DiskStats, OpKind};
 pub use fault::{
     FailSlowWindow, FaultInjector, FaultProfile, IoOutcome, SilentProfile, SilentWriteFault,

@@ -49,8 +49,6 @@ pub struct DiskModel {
     /// Cylinder skew in sectors: additional offset between the last
     /// track of a cylinder and the first of the next.
     pub cylinder_skew: u32,
-    /// SCSI bus transfer rate in bytes per second (used for cache hits).
-    pub bus_rate: f64,
 }
 
 impl DiskModel {
@@ -109,7 +107,6 @@ impl DiskModel {
             write_overhead: SimDuration::from_micros(900),
             track_skew: 12,
             cylinder_skew: 20,
-            bus_rate: 10.0e6,
         }
     }
 
@@ -150,7 +147,6 @@ impl DiskModel {
             write_overhead: SimDuration::from_micros(1_300),
             track_skew: 10,
             cylinder_skew: 18,
-            bus_rate: 10.0e6,
         }
     }
 
@@ -198,7 +194,6 @@ impl DiskModel {
             write_overhead: SimDuration::from_micros(700),
             track_skew: 16,
             cylinder_skew: 26,
-            bus_rate: 20.0e6,
         }
     }
 
@@ -223,7 +218,6 @@ impl DiskModel {
             write_overhead: SimDuration::ZERO,
             track_skew: 0,
             cylinder_skew: 0,
-            bus_rate: 10.0e6,
         }
     }
 

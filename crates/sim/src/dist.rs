@@ -4,8 +4,8 @@
 //! these distributions. The menagerie follows what the storage-workload
 //! literature uses to describe UNIX disk traffic (\[Ruemmler93\]):
 //! exponential and hyperexponential inter-arrival and idle times (bursty
-//! ON/OFF behaviour needs the heavy tail of the hyperexponential or
-//! Pareto), lognormal request sizes, and Zipf spatial popularity.
+//! ON/OFF behaviour needs the heavy tail of the hyperexponential),
+//! weighted request-size mixes, and Zipf spatial popularity.
 
 use crate::rng::SplitMix64;
 
@@ -54,160 +54,6 @@ impl Sample for Exponential {
 
     fn mean(&self) -> f64 {
         1.0 / self.lambda
-    }
-}
-
-/// Uniform distribution on `[lo, hi)`.
-#[derive(Clone, Copy, Debug)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform sampler on `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the interval is empty or not finite.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo.is_finite() && hi.is_finite() && lo < hi, "bad interval");
-        Uniform { lo, hi }
-    }
-}
-
-impl Sample for Uniform {
-    fn sample(&self, rng: &mut SplitMix64) -> f64 {
-        self.lo + (self.hi - self.lo) * rng.next_f64()
-    }
-
-    fn mean(&self) -> f64 {
-        0.5 * (self.lo + self.hi)
-    }
-}
-
-/// Bernoulli trial returning 1.0 with probability `p`, else 0.0.
-#[derive(Clone, Copy, Debug)]
-pub struct Bernoulli {
-    p: f64,
-}
-
-impl Bernoulli {
-    /// Creates a Bernoulli sampler.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn new(p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
-        Bernoulli { p }
-    }
-
-    /// Draws a boolean outcome.
-    pub fn draw(&self, rng: &mut SplitMix64) -> bool {
-        rng.chance(self.p)
-    }
-}
-
-impl Sample for Bernoulli {
-    fn sample(&self, rng: &mut SplitMix64) -> f64 {
-        if self.draw(rng) {
-            1.0
-        } else {
-            0.0
-        }
-    }
-
-    fn mean(&self) -> f64 {
-        self.p
-    }
-}
-
-/// Lognormal distribution parameterised by the underlying normal's
-/// `mu` and `sigma`.
-#[derive(Clone, Copy, Debug)]
-pub struct LogNormal {
-    mu: f64,
-    sigma: f64,
-}
-
-impl LogNormal {
-    /// Creates a lognormal sampler from the underlying normal parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sigma` is negative or either parameter is not finite.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        assert!(mu.is_finite() && sigma.is_finite() && sigma >= 0.0);
-        LogNormal { mu, sigma }
-    }
-
-    /// Creates a lognormal sampler with the given distribution mean and
-    /// multiplicative spread (sigma of the underlying normal).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is not strictly positive.
-    pub fn with_mean(mean: f64, sigma: f64) -> Self {
-        assert!(mean.is_finite() && mean > 0.0, "invalid mean: {mean}");
-        // mean = exp(mu + sigma^2/2)  =>  mu = ln(mean) - sigma^2/2.
-        LogNormal::new(mean.ln() - 0.5 * sigma * sigma, sigma)
-    }
-
-    /// Draws a standard normal via Box–Muller (one value per call; the
-    /// second is discarded for statelessness, which costs one extra
-    /// uniform draw but keeps the sampler `&self`).
-    fn standard_normal(rng: &mut SplitMix64) -> f64 {
-        let u1 = rng.next_f64_open();
-        let u2 = rng.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * core::f64::consts::PI * u2).cos()
-    }
-}
-
-impl Sample for LogNormal {
-    fn sample(&self, rng: &mut SplitMix64) -> f64 {
-        (self.mu + self.sigma * Self::standard_normal(rng)).exp()
-    }
-
-    fn mean(&self) -> f64 {
-        (self.mu + 0.5 * self.sigma * self.sigma).exp()
-    }
-}
-
-/// Pareto distribution with scale `xm` and shape `alpha`.
-///
-/// Heavy-tailed; used for idle-period durations, where traces show a
-/// small number of very long quiet stretches carrying most of the idle
-/// time (\[Golding95\]'s observation that idleness is bursty too).
-#[derive(Clone, Copy, Debug)]
-pub struct Pareto {
-    xm: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto sampler.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `xm > 0` and `alpha > 0`.
-    pub fn new(xm: f64, alpha: f64) -> Self {
-        assert!(xm > 0.0 && alpha > 0.0, "invalid Pareto parameters");
-        Pareto { xm, alpha }
-    }
-}
-
-impl Sample for Pareto {
-    fn sample(&self, rng: &mut SplitMix64) -> f64 {
-        self.xm / rng.next_f64_open().powf(1.0 / self.alpha)
-    }
-
-    fn mean(&self) -> f64 {
-        if self.alpha <= 1.0 {
-            f64::INFINITY
-        } else {
-            self.alpha * self.xm / (self.alpha - 1.0)
-        }
     }
 }
 
@@ -391,50 +237,6 @@ mod tests {
         for _ in 0..10_000 {
             assert!(d.sample(&mut rng) > 0.0);
         }
-    }
-
-    #[test]
-    fn uniform_bounds_and_mean() {
-        let d = Uniform::new(2.0, 4.0);
-        let mut rng = SplitMix64::new(3);
-        for _ in 0..10_000 {
-            let x = d.sample(&mut rng);
-            assert!((2.0..4.0).contains(&x));
-        }
-        let m = sample_mean(&d, 100_000, 4);
-        assert!((m - 3.0).abs() < 0.02, "mean {m}");
-    }
-
-    #[test]
-    fn bernoulli_mean() {
-        let d = Bernoulli::new(0.3);
-        let m = sample_mean(&d, 100_000, 5);
-        assert!((m - 0.3).abs() < 0.01, "mean {m}");
-    }
-
-    #[test]
-    fn lognormal_with_mean_hits_target() {
-        let d = LogNormal::with_mean(8.0, 1.0);
-        let m = sample_mean(&d, 400_000, 6);
-        assert!((m - 8.0).abs() < 0.3, "mean {m}");
-        assert!((d.mean() - 8.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pareto_tail_and_mean() {
-        let d = Pareto::new(1.0, 2.5);
-        let mut rng = SplitMix64::new(7);
-        for _ in 0..10_000 {
-            assert!(d.sample(&mut rng) >= 1.0);
-        }
-        let m = sample_mean(&d, 400_000, 8);
-        let expect = 2.5 / 1.5;
-        assert!((m - expect).abs() < 0.05, "mean {m} expect {expect}");
-    }
-
-    #[test]
-    fn pareto_infinite_mean_flagged() {
-        assert!(Pareto::new(1.0, 0.9).mean().is_infinite());
     }
 
     #[test]

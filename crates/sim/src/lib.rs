@@ -38,9 +38,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use dist::{
-    Bernoulli, Empirical, Exponential, Hyperexponential, LogNormal, Pareto, Uniform, Zipf,
-};
+pub use dist::{Empirical, Exponential, Hyperexponential, Zipf};
 pub use hash::{FxBuildHasher, FxHashMap, U64Set};
 pub use queue::{EventId, EventQueue};
 pub use rng::SplitMix64;

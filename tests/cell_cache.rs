@@ -119,7 +119,6 @@ fn distinct_configs_never_collide_on_a_key() {
     with("batch=64", &|c| c.scrub_batch = 64);
     with("rcache=0", &|c| c.read_cache_bytes = 0);
     with("shadow", &|c| c.shadow = true);
-    with("spin", &|c| c.spin_synchronized = !c.spin_synchronized);
     with("scrub-on", &|c| {
         c.scrub.enabled = true;
         c.scrub.iops_budget = 20.0;

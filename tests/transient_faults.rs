@@ -43,8 +43,6 @@ fn inactive_fault_config_changes_nothing() {
     let base = ArrayConfig::small_test(ParityPolicy::IdleOnly);
     let mut tweaked = base.clone();
     tweaked.faults.max_retries = 9;
-    tweaked.faults.retry_backoff = SimDuration::from_millis(1);
-    tweaked.faults.request_deadline = SimDuration::from_secs(1);
     tweaked.faults.io_timeout = SimDuration::from_millis(50);
     tweaked.faults.evict_threshold = 0.9;
     tweaked.faults.health_alpha = 0.7;
