@@ -1757,8 +1757,8 @@ impl Controller {
     }
 
     /// Submits a burst of planned I/Os that share one completion event,
-    /// admitting every resulting completion into the event queue in a
-    /// single [`EventQueue::schedule_batch`] maintenance pass.
+    /// admitting every resulting completion into the event queue with
+    /// a single [`EventQueue::schedule_batch`] sort.
     ///
     /// Drains `ios` (so callers can hand back a scratch buffer) and
     /// processes them in order: disk submission, metrics, and flight

@@ -117,8 +117,8 @@ impl<'a> TraceRun<'a> {
         }
         // The commit-barrier timeline is pre-scheduled in one batch:
         // a commit-heavy client can request thousands of parity points
-        // over a run, and admitting them per-event would pay the
-        // queue's maintenance cost once per barrier up front.
+        // over a run, and inserting them one by one would shift the
+        // whole timeline once per barrier; the batch sorts once.
         c.events.schedule_batch(
             opts.parity_points
                 .iter()

@@ -3,8 +3,8 @@
 //! The simulator keeps several hash sets and maps keyed by dense
 //! `u64` ids and stripe indices on its hot paths (per-stripe write
 //! counts, flight tables, trace-analysis region sets). The event queue
-//! is not among them: it tracks cancellations in a short tombstone
-//! list, so scheduling and delivering an event hash nothing.
+//! is not among them: it is one sorted vector and cancels by removal,
+//! so scheduling and delivering an event hash nothing.
 //! SipHash's DoS resistance buys nothing there — the keys come from
 //! the simulation itself, not from an adversary — so these containers
 //! use a Fibonacci multiply-shift finaliser instead: one `wrapping_mul`

@@ -1,0 +1,95 @@
+//! The serialized results of a few short runs are pinned byte for byte
+//! to `tests/golden/results/<cell>.json`. Between them the cells drive
+//! every path of the event queue: multi-I/O bursts, idle-timer cancel
+//! and re-arm, a pre-scheduled parity-point timeline, tour ticks under
+//! transient faults, and the tour-tick cancel on entering degraded
+//! mode; one chaos cut verdict adds crash recovery. A deliberate result
+//! change bumps its schema tag (`tests/golden_schema.rs`) and copies
+//! the live output, which a failing cell writes under the target
+//! directory, over the golden file.
+
+use std::path::Path;
+
+use afraid::config::ArrayConfig;
+use afraid::driver::{run_trace, RunOptions};
+use afraid::policy::ParityPolicy;
+use afraid_bench::cli;
+use afraid_chaos::scenario::Scenario;
+use afraid_sim::time::{SimDuration, SimTime};
+use afraid_trace::workloads::{WorkloadKind, WorkloadSpec};
+
+#[expect(
+    clippy::disallowed_methods,
+    reason = "reads the golden file and writes the live output beside the build"
+)]
+fn assert_golden(cell: &str, live: &str) {
+    let golden =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/results/{cell}.json"));
+    if std::fs::read_to_string(&golden).unwrap_or_default() != live {
+        let dump = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{cell}.json"));
+        std::fs::write(&dump, live).unwrap();
+        panic!(
+            "{cell}: differs from {}, live output in {}",
+            golden.display(),
+            dump.display()
+        );
+    }
+}
+
+fn pretty(value: &impl serde::Serialize) -> String {
+    serde_json::to_string_pretty(value).unwrap() + "\n"
+}
+
+/// `(cell, afraid-cli run flags)`.
+const CLI_CELLS: [(&str, &str); 4] = [
+    // Multi-I/O bursts: RAID 5 read-modify-writes.
+    ("raid5-bursts", "--workload cello-news --policy raid5 --secs 60"),
+    // Idle-timer cancel and re-arm under AFRAID.
+    ("afraid-idle", "--workload snake --secs 60"),
+    // Tour ticks under transient faults.
+    ("tour-transient", "--workload netware --secs 20 --scrub 50 --latent 0.01 --tour 1800 --transient 1e-3:1e-4"),
+    // Entering degraded mode cancels a pending tour tick.
+    ("degraded-spare", "--workload cello-usr --secs 20 --scrub 50 --latent 0.01 --tour 1800 --transient 1e-3:1e-4 --fail-disk 2@10 --degraded --spare 5"),
+];
+
+#[test]
+fn cli_runs_serialize_as_recorded() {
+    for (cell, flags) in CLI_CELLS {
+        let line = format!("run --json {flags}");
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        let mut out = Vec::new();
+        assert_eq!(cli::main(&argv, &mut out), 0, "{line}");
+        assert_golden(cell, &String::from_utf8(out).unwrap());
+    }
+}
+
+/// A commit-barrier timeline pre-scheduled through one batch, as in
+/// `examples/region_tuning.rs`: a parity point every 100 ms, each over
+/// a different 1 MB range.
+#[test]
+fn parity_point_timeline() {
+    let cfg = ArrayConfig::small_test(ParityPolicy::IdleOnly);
+    let trace = WorkloadSpec::preset(WorkloadKind::Att).generate(
+        2500 * 4 * 8192,
+        SimDuration::from_secs(20),
+        42,
+    );
+    let mb = 1 << 20;
+    let points = (0..200u64).map(|i| (SimTime::from_millis(i * 100), (i * 7 % 70) * mb, mb));
+    let opts = RunOptions {
+        parity_points: points.collect(),
+        ..RunOptions::default()
+    };
+    let r = run_trace(&cfg, &trace, &opts);
+    assert_eq!(r.metrics.parity_points, 200);
+    assert_golden("parity-points", &pretty(&r));
+}
+
+#[test]
+fn chaos_rebuild_cut_verdict() {
+    let spec = Scenario::Rebuild.spec(SimDuration::from_secs(4), 42);
+    let trace = spec.trace();
+    let v = spec.run_cut(&trace, spec.total_events(&trace) * 3 / 4);
+    assert!(v.pass, "{v:?}");
+    assert_golden("chaos-rebuild-cut", &pretty(&v));
+}
