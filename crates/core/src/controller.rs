@@ -350,8 +350,6 @@ pub struct Controller {
     /// Conservative-policy burst accounting.
     burst_bytes_acc: f64,
     ewma_burst_bytes: f64,
-    /// Set once a disk failure ends the run (or degrades it).
-    pub(crate) failed_disk: Option<u32>,
     /// Degraded-mode state, when operating past a disk failure.
     degraded: Option<Degraded>,
     /// When the rebuild sweep finished, if one ran.
@@ -544,7 +542,6 @@ impl Controller {
             priority_scrub: VecDeque::new(),
             burst_bytes_acc: 0.0,
             ewma_burst_bytes: 0.0,
-            failed_disk: None,
             degraded: None,
             rebuilt_at: None,
             reprotected_at: None,
@@ -646,6 +643,14 @@ impl Controller {
         self.evicting
     }
 
+    /// Whether `stripe`'s parity agrees with its data: it is not marked
+    /// dirty, and it lies outside a never-protected (RAID 0) region,
+    /// whose parity is never maintained.
+    fn parity_fresh(&self, stripe: u64) -> bool {
+        !self.marks.is_marked(stripe)
+            && self.cfg.regions.mode_of(stripe) != RegionMode::NeverProtect
+    }
+
     /// The dead disk a stripe must route around, if any (stripes the
     /// rebuild sweep has already restored use the spare normally).
     fn degraded_disk_for(&self, stripe: u64) -> Option<u32> {
@@ -729,7 +734,7 @@ impl Controller {
             self.events.cancel(ev);
         }
         self.host_q.push(rec.offset / 512, rec);
-        self.metrics.note_host_queue(self.host_q.len());
+        self.metrics.run.host_queue_peak = self.metrics.run.host_queue_peak.max(self.host_q.len());
         self.try_dispatch();
     }
 
@@ -812,7 +817,7 @@ impl Controller {
         let shell = self.take_shell(rec, Phase::Read);
         let slot = self.alloc_slot(shell);
         if self.read_cache.hit(rec.offset, rec.bytes) {
-            self.metrics.record_cache_hit();
+            self.metrics.run.read_cache_hits += 1;
             let req = self.req_mut(slot);
             req.pending = 1;
             req.skip_verify = true;
@@ -836,7 +841,7 @@ impl Controller {
             if touches_scar {
                 // The array knows the data is gone: report a media
                 // error promptly rather than returning garbage.
-                self.metrics.record_failed_read();
+                self.metrics.run.failed_reads += 1;
                 let req = self.req_mut(slot);
                 req.pending = 1;
                 req.skip_verify = true;
@@ -1559,8 +1564,7 @@ impl Controller {
             .health
             .as_mut()
             .is_some_and(|h| h.record_corruption(disk));
-        let fresh = !self.marks.is_marked(stripe)
-            && self.cfg.regions.mode_of(stripe) != RegionMode::NeverProtect;
+        let fresh = self.parity_fresh(stripe);
         match int.resolve(shadow, stripe, unit, fresh) {
             IntegrityVerdict::Clean => {}
             IntegrityVerdict::Repaired => self.submit(
@@ -1574,7 +1578,7 @@ impl Controller {
                 Ev::RepairIo,
             ),
             IntegrityVerdict::Declared => {
-                self.metrics.record_failed_read();
+                self.metrics.run.failed_reads += 1;
                 if fresh {
                     self.submit(
                         PlannedIo {
@@ -1796,7 +1800,7 @@ impl Controller {
                 op: io.op,
             },
         );
-        self.metrics.record_io(io.cause);
+        self.metrics.run.io.record(io.cause);
         match outcome {
             IoOutcome::Ok(done) => {
                 self.note_disk_ok(io.disk);
@@ -1859,12 +1863,12 @@ impl Controller {
             FlightOutcome::MediaError | FlightOutcome::Timeout => {
                 let disk = fl.io.disk;
                 let tripped = if fl.last == FlightOutcome::MediaError {
-                    self.metrics.record_media_error();
+                    self.metrics.run.media_errors += 1;
                     self.health
                         .as_mut()
                         .is_some_and(|h| h.record_media_error(disk))
                 } else {
-                    self.metrics.record_timeout();
+                    self.metrics.run.timeouts += 1;
                     self.health.as_mut().is_some_and(|h| h.record_timeout(disk))
                 };
                 let backoff = RETRY_BACKOFF * (1u64 << (fl.attempts - 1).min(16));
@@ -1874,7 +1878,7 @@ impl Controller {
                     && !self.disk(disk).is_failed()
                 {
                     self.flight_mut(id).attempts += 1;
-                    self.metrics.record_retry();
+                    self.metrics.run.retries += 1;
                     self.events.schedule(retry_at, Ev::IoRetry { flight: id });
                 } else {
                     self.exhaust_flight(id);
@@ -1905,7 +1909,7 @@ impl Controller {
                 op: fl.io.op,
             },
         );
-        self.metrics.record_io(fl.io.cause);
+        self.metrics.run.io.record(fl.io.cause);
         let (last, report) = match outcome {
             IoOutcome::Ok(done) => (FlightOutcome::Ok, done),
             IoOutcome::MediaError(t) => (FlightOutcome::MediaError, t),
@@ -1926,7 +1930,7 @@ impl Controller {
             debug_assert!(false, "exhausted flight {id} is not live");
             return;
         };
-        self.metrics.record_io_exhausted();
+        self.metrics.run.io_exhausted += 1;
         let us = self.layout.unit_sectors();
         match fl.io.cause {
             IoCause::ClientRead => self.reconstruct_fallback(fl),
@@ -1938,7 +1942,7 @@ impl Controller {
                 let lo = (fl.io.lba - self.layout.stripe_lba(stripe)) * 512;
                 self.mark_dirty(stripe, lo, lo + fl.io.sectors * 512);
                 if fl.io.cause == IoCause::ClientWrite {
-                    self.metrics.record_degraded_completion();
+                    self.metrics.run.degraded_completions += 1;
                 }
                 self.handle(fl.done);
             }
@@ -1966,7 +1970,7 @@ impl Controller {
             IoCause::ReconstructRead => {
                 // A survivor read failed past its budget: this read
                 // genuinely cannot be served.
-                self.metrics.record_failed_read();
+                self.metrics.run.failed_reads += 1;
                 self.handle(fl.done);
             }
             IoCause::ReadRepairWrite | IoCause::CorruptRepairWrite => {
@@ -1993,13 +1997,11 @@ impl Controller {
             .integrity
             .as_ref()
             .is_some_and(|int| int.stripe_corrupt(stripe));
-        let redundant = !corrupt
-            && !matches!(self.cfg.regions.mode_of(stripe), RegionMode::NeverProtect)
-            && !self.marks.is_marked(stripe)
-            && self.degraded_disk_for(stripe).is_none();
+        let redundant =
+            !corrupt && self.parity_fresh(stripe) && self.degraded_disk_for(stripe).is_none();
         if !redundant {
             // No parity to lean on: the read fails for real.
-            self.metrics.record_failed_read();
+            self.metrics.run.failed_reads += 1;
             self.handle(fl.done);
             return;
         }
@@ -2008,7 +2010,7 @@ impl Controller {
             // from the survivors' XOR.
             shadow.check_scrub_repair(stripe, fl.io.disk);
         }
-        self.metrics.record_reconstruct_fallback();
+        self.metrics.run.reconstruct_fallbacks += 1;
         // The one failed read becomes `disks - 1` survivor reads, all
         // completing into the same request slot.
         self.req_mut(req).pending += self.cfg.disks - 2;
@@ -2086,7 +2088,6 @@ impl Controller {
             return false;
         }
         self.disk_mut(disk).fail();
-        self.failed_disk = Some(disk);
         self.evicted_at = Some(self.now);
         self.metrics.record_eviction(self.now);
         if let Some(h) = &mut self.health {
@@ -2259,7 +2260,7 @@ impl Controller {
                 queued = true;
             }
         }
-        self.metrics.record_parity_point();
+        self.metrics.run.parity_points += 1;
         if queued {
             self.start_scrub();
         }
@@ -2431,7 +2432,8 @@ impl Controller {
             self.clear_mark(s);
             settled += 1;
         }
-        self.metrics.record_scrub_batch(settled);
+        self.metrics.run.scrub_batches += 1;
+        self.metrics.run.stripes_scrubbed += settled;
         if let Some(disk) = condemned {
             // Scrub-detected corruption condemned a disk. This may
             // start a forced settle of the remaining marks right here;
@@ -2559,15 +2561,18 @@ impl Controller {
         let mut detected = 0u64;
         if let Some(latent) = &mut self.latent {
             latent.advance(self.now);
+        }
+        if let Some(latent) = &self.latent {
             for disk in 0..self.cfg.disks {
                 for sector in latent.active_in(disk, lba0, span, self.now) {
                     detected += 1;
                     let stripe = first + (sector - lba0) / unit_sectors;
-                    // Repair needs a consistent stripe (parity current,
-                    // i.e. not marked dirty) and the same sector of
-                    // every other unit readable — a double error on one
-                    // row is unreconstructable until a client rewrite.
-                    let clean = !self.marks.is_marked(stripe);
+                    // Repair needs fresh parity (not marked dirty, not
+                    // in a never-protected region) and the same sector
+                    // of every other unit readable — a double error on
+                    // one row is unreconstructable until a client
+                    // rewrite.
+                    let clean = self.parity_fresh(stripe);
                     let twin = (0..self.cfg.disks)
                         .any(|d| d != disk && latent.active_at(d, sector, self.now));
                     if clean && !twin {
@@ -2582,7 +2587,7 @@ impl Controller {
                 }
             }
         }
-        self.metrics.record_latent_detected(detected);
+        self.metrics.run.latent_detected += detected;
 
         // Cross-check against the shadow model: every stripe we are
         // about to repair must actually be reconstructable, or the
@@ -2594,7 +2599,7 @@ impl Controller {
                 // Tour-repair parity invariant: the stripe the repair
                 // reconstructs from must have parity agreeing with its
                 // data in the shadow model — repairs were only planned
-                // for unmarked (clean) stripes.
+                // for stripes with fresh parity.
                 debug_assert!(
                     shadow.parity_consistent(stripe),
                     "tour repair of stripe {stripe} from inconsistent shadow parity"
@@ -2609,15 +2614,13 @@ impl Controller {
                 debug_assert!(was_bad);
             }
         }
-        if !ios.is_empty() {
-            self.metrics.record_latent_repaired(ios.len() as u64);
-        }
+        self.metrics.run.latent_repaired += ios.len() as u64;
     }
 
     fn finish_tour_batch(&mut self, tb: Batch) {
         let stripes = tb.stripes.len() as u64;
-        self.metrics
-            .record_tour_batch(stripes * self.layout.unit_sectors() * u64::from(self.cfg.disks));
+        self.metrics.run.tour_sectors_read +=
+            stripes * self.layout.unit_sectors() * u64::from(self.cfg.disks);
         let now = self.now;
         if let Some(dur) = self.tour.as_mut().and_then(|t| t.complete(now, stripes)) {
             self.metrics.record_tour(dur);
@@ -2637,7 +2640,6 @@ impl Controller {
 
     fn on_disk_failure(&mut self, disk: u32) {
         self.disk_mut(disk).fail();
-        self.failed_disk = Some(disk);
         // The driver either ends the run here (loss assessed from the
         // marking memory and shadow model) or calls
         // [`Controller::enter_degraded`] to continue.

@@ -237,15 +237,14 @@ impl<'a> TraceRun<'a> {
 
     fn finish(mut self) -> RunResult {
         let end = self.c.now.max(self.trace.end_time());
-        self.c
-            .metrics
-            .set_event_stats(self.events_processed, self.queue_peak);
-        if let Some(int) = self.c.integrity_state() {
-            let counters = int.counters;
-            self.c.metrics.set_integrity(counters);
+        let run = &mut self.c.metrics.run;
+        run.events_processed = self.events_processed;
+        run.event_queue_peak = self.queue_peak;
+        if let Some(counters) = self.c.integrity_state().map(|int| int.counters) {
+            self.c.metrics.run.integrity = counters;
         }
         RunResult {
-            metrics: self.c.metrics.clone().finish(end),
+            metrics: self.c.metrics.finish(end),
             loss: self.loss,
             reprotected_at: self.c.reprotected_at,
             rebuilt_at: self.c.rebuilt_at,

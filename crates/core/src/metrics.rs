@@ -5,6 +5,15 @@
 //! parity-lag and unprotected-time integrals (Tables 3-4, via the
 //! availability equations), the disk-I/O breakdown (Figure 1), and the
 //! write duty cycle (the §3.5 power model input).
+//!
+//! The record is live for the whole run: [`MetricsBuilder`] holds a
+//! `RunMetrics` that the controller and driver count straight into
+//! (I/Os by cause, scrub and tour totals, fault and integrity counters,
+//! event-loop totals), beside the accumulators those counters cannot
+//! express (response statistics and histograms, the lag, dirty and
+//! write-busy step functions, tour durations, the open eviction
+//! window). [`MetricsBuilder::finish`] fills in the fields derived from
+//! those accumulators and keeps every counted field as it stands.
 
 use afraid_sim::stats::{Histogram, OnlineStats, TimeWeighted};
 use afraid_sim::time::{SimDuration, SimTime};
@@ -120,9 +129,13 @@ impl IoBreakdown {
     }
 }
 
-/// Live accumulators, finalised into a [`RunMetrics`].
+/// The live run record plus the accumulators [`MetricsBuilder::finish`]
+/// derives the rest of [`RunMetrics`] from.
 #[derive(Clone, Debug)]
 pub struct MetricsBuilder {
+    /// The record itself: the controller and driver count straight
+    /// into it; `finish` overwrites only the derived fields.
+    pub(crate) run: RunMetrics,
     start: SimTime,
     response_all: OnlineStats,
     response_read: OnlineStats,
@@ -138,37 +151,16 @@ pub struct MetricsBuilder {
     dirty: TimeWeighted,
     /// 1.0 while at least one client write is outstanding.
     write_busy: TimeWeighted,
-    io: IoBreakdown,
-    read_cache_hits: u64,
-    scrub_batches: u64,
-    stripes_scrubbed: u64,
-    host_queue_peak: usize,
-    parity_points: u64,
-    failed_reads: u64,
-    latent_detected: u64,
-    latent_repaired: u64,
-    scrub_tours: u64,
-    tour_sectors_read: u64,
     tour_secs_sum: f64,
-    media_errors: u64,
-    timeouts: u64,
-    retries: u64,
-    io_exhausted: u64,
-    reconstruct_fallbacks: u64,
-    degraded_completions: u64,
-    evictions: u64,
     /// When the open eviction exposure window started, if one is open.
     evict_open: Option<SimTime>,
-    evict_exposure_secs: f64,
-    events_processed: u64,
-    event_queue_peak: usize,
-    integrity: IntegrityCounters,
 }
 
 impl MetricsBuilder {
     /// Creates accumulators starting at `start`.
     pub fn new(start: SimTime) -> MetricsBuilder {
         MetricsBuilder {
+            run: RunMetrics::default(),
             start,
             response_all: OnlineStats::new(),
             response_read: OnlineStats::new(),
@@ -180,30 +172,8 @@ impl MetricsBuilder {
             lag: TimeWeighted::new(start, 0.0),
             dirty: TimeWeighted::new(start, 0.0),
             write_busy: TimeWeighted::new(start, 0.0),
-            io: IoBreakdown::default(),
-            read_cache_hits: 0,
-            scrub_batches: 0,
-            stripes_scrubbed: 0,
-            host_queue_peak: 0,
-            parity_points: 0,
-            failed_reads: 0,
-            latent_detected: 0,
-            latent_repaired: 0,
-            scrub_tours: 0,
-            tour_sectors_read: 0,
             tour_secs_sum: 0.0,
-            media_errors: 0,
-            timeouts: 0,
-            retries: 0,
-            io_exhausted: 0,
-            reconstruct_fallbacks: 0,
-            degraded_completions: 0,
-            evictions: 0,
             evict_open: None,
-            evict_exposure_secs: 0.0,
-            events_processed: 0,
-            event_queue_peak: 0,
-            integrity: IntegrityCounters::default(),
         }
     }
 
@@ -232,72 +202,10 @@ impl MetricsBuilder {
         self.write_busy.set(now, if busy { 1.0 } else { 0.0 });
     }
 
-    /// Records a disk I/O by cause.
-    pub fn record_io(&mut self, cause: IoCause) {
-        self.io.record(cause);
-    }
-
-    /// Records an array-cache read hit.
-    pub fn record_cache_hit(&mut self) {
-        self.read_cache_hits += 1;
-    }
-
-    /// Records a completed scrub batch of `stripes` stripes.
-    pub fn record_scrub_batch(&mut self, stripes: u64) {
-        self.scrub_batches += 1;
-        self.stripes_scrubbed += stripes;
-    }
-
-    /// Tracks the deepest host queue seen.
-    pub fn note_host_queue(&mut self, depth: usize) {
-        self.host_queue_peak = self.host_queue_peak.max(depth);
-    }
-
-    /// Records a host-requested parity point.
-    pub fn record_parity_point(&mut self) {
-        self.parity_points += 1;
-    }
-
-    /// Records a read that failed because it touched a known-bad
-    /// (lost) unit in degraded mode.
-    pub fn record_failed_read(&mut self) {
-        self.failed_reads += 1;
-    }
-
-    /// Records latent errors detected by a tour batch.
-    pub fn record_latent_detected(&mut self, n: u64) {
-        self.latent_detected += n;
-    }
-
-    /// Records latent errors repaired from parity.
-    pub fn record_latent_repaired(&mut self, n: u64) {
-        self.latent_repaired += n;
-    }
-
-    /// Records the sectors read by one completed tour batch.
-    pub fn record_tour_batch(&mut self, sectors_read: u64) {
-        self.tour_sectors_read += sectors_read;
-    }
-
     /// Records one completed full scrub tour.
     pub fn record_tour(&mut self, duration: SimDuration) {
-        self.scrub_tours += 1;
+        self.run.scrub_tours += 1;
         self.tour_secs_sum += duration.as_secs_f64();
-    }
-
-    /// Records a transient media error reported by a disk.
-    pub fn record_media_error(&mut self) {
-        self.media_errors += 1;
-    }
-
-    /// Records a disk command timeout.
-    pub fn record_timeout(&mut self) {
-        self.timeouts += 1;
-    }
-
-    /// Records one retry attempt being issued.
-    pub fn record_retry(&mut self) {
-        self.retries += 1;
     }
 
     /// Records a retried I/O finally succeeding, `latency` after its
@@ -306,47 +214,17 @@ impl MetricsBuilder {
         self.retry_histogram_ms.record(latency.as_millis_f64());
     }
 
-    /// Records an I/O giving up: retries exhausted or deadline passed.
-    pub fn record_io_exhausted(&mut self) {
-        self.io_exhausted += 1;
-    }
-
-    /// Records an exhausted client read served by reconstructing from
-    /// the survivors.
-    pub fn record_reconstruct_fallback(&mut self) {
-        self.reconstruct_fallbacks += 1;
-    }
-
-    /// Records a client write completed degraded: the data landed but
-    /// redundancy was deferred to the scrubber via an NVRAM mark.
-    pub fn record_degraded_completion(&mut self) {
-        self.degraded_completions += 1;
-    }
-
     /// Records a proactive health eviction, opening an exposure window.
     pub fn record_eviction(&mut self, at: SimTime) {
-        self.evictions += 1;
+        self.run.evictions += 1;
         self.evict_open = Some(at);
     }
 
     /// Closes the open eviction exposure window (rebuild finished).
     pub fn close_eviction(&mut self, at: SimTime) {
         if let Some(open) = self.evict_open.take() {
-            self.evict_exposure_secs += at.since(open).as_secs_f64();
+            self.run.evict_exposure_secs += at.since(open).as_secs_f64();
         }
-    }
-
-    /// Installs the integrity subsystem's final counters (the driver
-    /// copies them out of the controller when the run halts).
-    pub fn set_integrity(&mut self, counters: IntegrityCounters) {
-        self.integrity = counters;
-    }
-
-    /// Records the event-loop totals measured by the driver: events
-    /// delivered and the deepest event queue seen.
-    pub fn set_event_stats(&mut self, processed: u64, queue_peak: usize) {
-        self.events_processed = processed;
-        self.event_queue_peak = queue_peak;
     }
 
     /// Fraction of elapsed time with non-zero parity lag, up to `now`.
@@ -354,14 +232,14 @@ impl MetricsBuilder {
         self.lag.fraction_positive(now)
     }
 
-    /// Finalises at `end`.
+    /// Finalises at `end`: fills in the derived fields and keeps every
+    /// counted one as recorded.
     pub fn finish(self, end: SimTime) -> RunMetrics {
-        let evict_exposure_secs = self.evict_exposure_secs
-            + self
-                .evict_open
-                .map_or(0.0, |open| end.saturating_since(open).as_secs_f64());
+        let run = self.run;
+        let span = end.since(self.start);
+        let secs = span.as_secs_f64();
         RunMetrics {
-            span: end.since(self.start),
+            span,
             requests: self.response_all.count(),
             mean_io_ms: self.response_all.mean(),
             mean_read_ms: self.response_read.mean(),
@@ -375,21 +253,10 @@ impl MetricsBuilder {
             mean_dirty_stripes: self.dirty.mean(end),
             peak_dirty_stripes: self.dirty.peak() as u64,
             write_duty_cycle: self.write_busy.mean(end),
-            io: self.io,
-            read_cache_hits: self.read_cache_hits,
-            scrub_batches: self.scrub_batches,
-            stripes_scrubbed: self.stripes_scrubbed,
-            host_queue_peak: self.host_queue_peak,
-            parity_points: self.parity_points,
-            failed_reads: self.failed_reads,
-            latent_detected: self.latent_detected,
-            latent_repaired: self.latent_repaired,
-            scrub_tours: self.scrub_tours,
-            tour_sectors_read: self.tour_sectors_read,
-            mean_tour_secs: if self.scrub_tours == 0 {
+            mean_tour_secs: if run.scrub_tours == 0 {
                 0.0
             } else {
-                self.tour_secs_sum / self.scrub_tours as f64
+                self.tour_secs_sum / run.scrub_tours as f64
             },
             p50_io_ms: self.histogram_ms.quantile(0.50),
             p50_read_ms: self.histogram_read_ms.quantile(0.50),
@@ -398,34 +265,25 @@ impl MetricsBuilder {
             p50_write_ms: self.histogram_write_ms.quantile(0.50),
             p95_write_ms: self.histogram_write_ms.quantile(0.95),
             p99_write_ms: self.histogram_write_ms.quantile(0.99),
-            media_errors: self.media_errors,
-            timeouts: self.timeouts,
-            retries: self.retries,
-            io_exhausted: self.io_exhausted,
-            reconstruct_fallbacks: self.reconstruct_fallbacks,
-            degraded_completions: self.degraded_completions,
             retry_p50_ms: self.retry_histogram_ms.quantile(0.50),
             retry_p95_ms: self.retry_histogram_ms.quantile(0.95),
             retry_p99_ms: self.retry_histogram_ms.quantile(0.99),
-            evictions: self.evictions,
-            evict_exposure_secs,
-            events_processed: self.events_processed,
-            event_queue_peak: self.event_queue_peak,
-            events_per_sim_sec: {
-                let secs = end.since(self.start).as_secs_f64();
-                if secs > 0.0 {
-                    self.events_processed as f64 / secs
-                } else {
-                    0.0
-                }
+            evict_exposure_secs: run.evict_exposure_secs
+                + self
+                    .evict_open
+                    .map_or(0.0, |open| end.saturating_since(open).as_secs_f64()),
+            events_per_sim_sec: if secs > 0.0 {
+                run.events_processed as f64 / secs
+            } else {
+                0.0
             },
-            integrity: self.integrity,
+            ..run
         }
     }
 }
 
 /// Final measurements for one simulation run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct RunMetrics {
     /// Simulated span of the run.
     pub span: SimDuration,
@@ -599,7 +457,7 @@ mod tests {
     fn write_ios_per_request() {
         let mut b = MetricsBuilder::new(SimTime::ZERO);
         for _ in 0..4 {
-            b.record_io(IoCause::ClientWrite);
+            b.run.io.record(IoCause::ClientWrite);
         }
         let m = b.finish(SimTime::from_secs(1));
         assert!((m.write_ios_per_request(4) - 1.0).abs() < 1e-9);
@@ -644,21 +502,10 @@ mod tests {
     #[test]
     fn fault_counters_accumulate() {
         let mut b = MetricsBuilder::new(SimTime::ZERO);
-        b.record_media_error();
-        b.record_timeout();
-        b.record_timeout();
-        b.record_retry();
+        b.run.timeouts += 2;
         b.record_retry_success(SimDuration::from_millis(12));
-        b.record_io_exhausted();
-        b.record_reconstruct_fallback();
-        b.record_degraded_completion();
         let m = b.finish(SimTime::from_secs(1));
-        assert_eq!(m.media_errors, 1);
         assert_eq!(m.timeouts, 2);
-        assert_eq!(m.retries, 1);
-        assert_eq!(m.io_exhausted, 1);
-        assert_eq!(m.reconstruct_fallbacks, 1);
-        assert_eq!(m.degraded_completions, 1);
         assert!(m.retry_p50_ms > 0.0);
     }
 

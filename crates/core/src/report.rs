@@ -242,13 +242,13 @@ mod tests {
         use crate::metrics::MetricsBuilder;
         use afraid_sim::time::SimTime;
         let mut b = MetricsBuilder::new(SimTime::ZERO);
-        b.set_integrity(IntegrityCounters {
+        b.run.integrity = IntegrityCounters {
             injected_lost: injected,
             detected,
             repaired: detected - declared,
             declared,
             ..IntegrityCounters::default()
-        });
+        };
         b.finish(SimTime::from_secs(3600))
     }
 

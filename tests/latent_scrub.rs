@@ -7,6 +7,7 @@
 use afraid::config::ArrayConfig;
 use afraid::driver::{run_trace, RunOptions, RunResult};
 use afraid::policy::ParityPolicy;
+use afraid::regions::{Region, RegionMap, RegionMode};
 use afraid::report::availability;
 use afraid_sim::time::{SimDuration, SimTime};
 use afraid_trace::record::Trace;
@@ -105,6 +106,28 @@ fn tours_detect_and_repair_injected_latent_errors() {
     assert!(m.latent_repaired > 0, "no latent errors repaired");
     assert!(m.latent_repaired <= m.latent_detected);
     assert!(m.io.latent_repair_write >= m.latent_repaired);
+}
+
+#[test]
+fn tours_never_repair_raid0_region_stripes() {
+    // A never-protected (RAID 0) region keeps no parity, so a latent
+    // error found there by a tour is detected but unrepairable: a
+    // "repair" would reconstruct the sector from stale parity. The
+    // shadow verifier (on in small_test) panics on any such repair.
+    let mut cfg = scrub_cfg(true);
+    cfg.scrub.latent_rate_per_disk_hour = 50.0;
+    cfg.regions = RegionMap::new(vec![Region {
+        first_stripe: 0,
+        stripes: 2500,
+        mode: RegionMode::NeverProtect,
+    }]);
+    assert!(cfg.shadow);
+    let t = trace(WorkloadKind::CelloNews, 120);
+    let r = run_trace(&cfg, &t, &RunOptions::default());
+    let m = &r.metrics;
+    assert!(m.latent_detected > 0, "no latent errors detected");
+    assert_eq!(m.latent_repaired, 0, "repaired RAID 0 stripes from parity");
+    assert_eq!(m.io.latent_repair_write, 0);
 }
 
 fn snapshot(r: &RunResult) -> String {
