@@ -3,7 +3,9 @@
 //! every path of the event queue: multi-I/O bursts, idle-timer cancel
 //! and re-arm, a pre-scheduled parity-point timeline, tour ticks under
 //! transient faults, and the tour-tick cancel on entering degraded
-//! mode; one chaos cut verdict adds crash recovery. A deliberate result
+//! mode. Three more pin an NVRAM failure's rescan, silent corruption
+//! alone, and silent with transient faults up to an eviction; one
+//! chaos cut verdict adds crash recovery. A deliberate result
 //! change bumps its schema tag (`tests/golden_schema.rs`) and copies
 //! the live output, which a failing cell writes under the target
 //! directory, over the golden file.
@@ -41,7 +43,7 @@ fn pretty(value: &impl serde::Serialize) -> String {
 }
 
 /// `(cell, afraid-cli run flags)`.
-const CLI_CELLS: [(&str, &str); 4] = [
+const CLI_CELLS: [(&str, &str); 7] = [
     // Multi-I/O bursts: RAID 5 read-modify-writes.
     ("raid5-bursts", "--workload cello-news --policy raid5 --secs 60"),
     // Idle-timer cancel and re-arm under AFRAID.
@@ -50,6 +52,13 @@ const CLI_CELLS: [(&str, &str); 4] = [
     ("tour-transient", "--workload netware --secs 20 --scrub 50 --latent 0.01 --tour 1800 --transient 1e-3:1e-4"),
     // Entering degraded mode cancels a pending tour tick.
     ("degraded-spare", "--workload cello-usr --secs 20 --scrub 50 --latent 0.01 --tour 1800 --transient 1e-3:1e-4 --fail-disk 2@10 --degraded --spare 5"),
+    // An NVRAM failure: the whole-array parity rescan and the instant
+    // the array is reprotected.
+    ("nvram-rescan", "--workload att --secs 30 --fail-nvram 10"),
+    // Silent corruption without transient faults.
+    ("corrupt-only", "--workload cello-news --secs 30 --corrupt 1e-2 --verify-reads"),
+    // Silent and transient faults on the same disks, and one eviction.
+    ("corrupt-transient-evict", "--workload netware --secs 30 --corrupt 1e-3 --verify-reads --transient 1e-3:1e-4 --evict-threshold 0.5"),
 ];
 
 #[test]
