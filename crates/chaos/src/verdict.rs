@@ -245,7 +245,7 @@ pub fn judge(
         at: image.at,
         marked: image.marks.marked_count(),
         failed_disk: image.failed_disk,
-        nvram_failed: image.nvram_failed,
+        nvram_failed: image.marks.has_failed(),
         scarred: image.scarred.len() as u64,
         scrubbed: outcome.scrubbed,
         spurious_marks: outcome.spurious_marks,
@@ -282,11 +282,8 @@ mod tests {
             failed_disk: None,
             scarred: Vec::new(),
             integrity: None,
-            nvram_failed: false,
             at: SimTime::ZERO,
             events_processed: 0,
-            rebuild_cursor: None,
-            evicting: None,
         }
     }
 

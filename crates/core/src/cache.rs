@@ -21,8 +21,6 @@ pub struct ReadCache {
     capacity: usize,
     /// Resident logical block ids; most recently used at the back.
     blocks: VecDeque<u64>,
-    hits: u64,
-    misses: u64,
 }
 
 impl ReadCache {
@@ -38,13 +36,11 @@ impl ReadCache {
             block_bytes,
             capacity: (capacity_bytes / block_bytes) as usize,
             blocks: VecDeque::new(),
-            hits: 0,
-            misses: 0,
         }
     }
 
     /// True if the byte range is entirely resident; refreshes LRU
-    /// positions and updates hit statistics.
+    /// positions.
     pub fn hit(&mut self, offset: u64, bytes: u64) -> bool {
         let ids = self.block_ids(offset, bytes);
         if self.capacity > 0 && ids.clone().all(|b| self.blocks.contains(&b)) {
@@ -54,10 +50,8 @@ impl ReadCache {
                     self.blocks.push_back(b);
                 }
             }
-            self.hits += 1;
             true
         } else {
-            self.misses += 1;
             false
         }
     }
@@ -85,11 +79,6 @@ impl ReadCache {
         self.blocks.retain(|&b| b < first || b > last);
     }
 
-    /// `(hits, misses)`.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
     fn block_ids(&self, offset: u64, bytes: u64) -> impl Iterator<Item = u64> + Clone {
         let first = offset / self.block_bytes;
         let last = (offset + bytes.max(1) - 1) / self.block_bytes;
@@ -111,7 +100,6 @@ mod tests {
         assert!(!c.hit(0, 8192));
         c.insert(0, 8192);
         assert!(c.hit(0, 8192));
-        assert_eq!(c.stats(), (1, 1));
     }
 
     #[test]

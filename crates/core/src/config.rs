@@ -70,9 +70,13 @@ pub struct ScrubConfig {
     /// Mean latent sector errors per disk per simulated hour
     /// (0 disables the error process entirely).
     pub latent_rate_per_disk_hour: f64,
-    /// Seed for the error process and tour origins.
-    pub latent_seed: u64,
 }
+
+/// Seed for the latent sector error process and the tour origins.
+pub const LATENT_SEED: u64 = 0x5eed_1a7e;
+
+/// Master seed for the per-disk silent-fault streams.
+pub const INTEGRITY_SEED: u64 = 0xc044_5eed;
 
 impl Default for ScrubConfig {
     fn default() -> Self {
@@ -81,7 +85,6 @@ impl Default for ScrubConfig {
             iops_budget: 50.0,
             tour_period: SimDuration::from_secs(3600),
             latent_rate_per_disk_hour: 0.0,
-            latent_seed: 0x5eed_1a7e,
         }
     }
 }
@@ -169,8 +172,6 @@ pub struct IntegrityConfig {
     /// parity is rebuilt — otherwise a scrub would launder corruption
     /// into freshly consistent parity.
     pub verify_scrub: bool,
-    /// Master seed for the per-disk silent-fault streams.
-    pub seed: u64,
 }
 
 impl IntegrityConfig {
@@ -198,7 +199,6 @@ impl Default for IntegrityConfig {
             misdirected_write_per_io: 0.0,
             verify_reads: false,
             verify_scrub: false,
-            seed: 0xc044_5eed,
         }
     }
 }

@@ -92,8 +92,6 @@ struct TraceRun<'a> {
     c: Controller,
     next_arrival: usize,
     loss: Option<DataLossReport>,
-    events_processed: u64,
-    queue_peak: usize,
     /// Set when an injected disk failure ends the run (fail-stop mode).
     halted: bool,
 }
@@ -131,7 +129,7 @@ impl<'a> TraceRun<'a> {
             c.draining = true;
         }
 
-        let queue_peak = c.events.len();
+        c.metrics.run.event_queue_peak = c.events.len();
         TraceRun {
             cfg,
             trace,
@@ -139,8 +137,6 @@ impl<'a> TraceRun<'a> {
             c,
             next_arrival: 0,
             loss: None,
-            events_processed: 0,
-            queue_peak,
             halted: false,
         }
     }
@@ -157,7 +153,7 @@ impl<'a> TraceRun<'a> {
         let c = &mut self.c;
         debug_assert!(t >= c.now, "time went backwards");
         c.now = t;
-        self.events_processed += 1;
+        c.metrics.run.events_processed += 1;
         match ev {
             Ev::Arrive => {
                 let rec = self.trace.records[self.next_arrival];
@@ -204,7 +200,8 @@ impl<'a> TraceRun<'a> {
             }
             other => c.handle(other),
         }
-        self.queue_peak = self.queue_peak.max(self.c.events.len());
+        let run = &mut self.c.metrics.run;
+        run.event_queue_peak = run.event_queue_peak.max(self.c.events.len());
         true
     }
 
@@ -237,9 +234,6 @@ impl<'a> TraceRun<'a> {
 
     fn finish(mut self) -> RunResult {
         let end = self.c.now.max(self.trace.end_time());
-        let run = &mut self.c.metrics.run;
-        run.events_processed = self.events_processed;
-        run.event_queue_peak = self.queue_peak;
         if let Some(counters) = self.c.integrity_state().map(|int| int.counters) {
             self.c.metrics.run.integrity = counters;
         }
@@ -286,12 +280,13 @@ pub fn run_to_cut(cfg: &ArrayConfig, trace: &Trace, opts: &RunOptions, cut: u64)
         "run_to_cut needs cfg.shadow = true for recovery ground truth"
     );
     let mut run = TraceRun::new(cfg, trace, opts);
-    while run.events_processed < cut && run.step() {}
-    let image = CrashImage::capture(&run.c, run.events_processed)
-        .expect("shadow model present: checked above");
+    while run.c.metrics.run.events_processed < cut && run.step() {}
+    let events_processed = run.c.metrics.run.events_processed;
+    let image =
+        CrashImage::capture(&run.c, events_processed).expect("shadow model present: checked above");
     CrashRun {
         image,
         loss: run.loss,
-        events_processed: run.events_processed,
+        events_processed,
     }
 }

@@ -15,6 +15,7 @@
 //! window). [`MetricsBuilder::finish`] fills in the fields derived from
 //! those accumulators and keeps every counted field as it stands.
 
+use afraid_disk::disk::OpKind;
 use afraid_sim::stats::{Histogram, OnlineStats, TimeWeighted};
 use afraid_sim::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -53,6 +54,27 @@ pub enum IoCause {
     /// unit regenerated from fresh parity, or the stripe's parity
     /// rebuilt over a declared (absorbed) corruption.
     CorruptRepairWrite,
+}
+
+impl IoCause {
+    /// The direction of every I/O issued for this cause.
+    pub fn op(self) -> OpKind {
+        match self {
+            IoCause::ClientRead
+            | IoCause::RmwPreRead
+            | IoCause::ScrubRead
+            | IoCause::ReconstructRead
+            | IoCause::RebuildRead
+            | IoCause::TourRead => OpKind::Read,
+            IoCause::ClientWrite
+            | IoCause::ParityWrite
+            | IoCause::ScrubWrite
+            | IoCause::RebuildWrite
+            | IoCause::LatentRepairWrite
+            | IoCause::ReadRepairWrite
+            | IoCause::CorruptRepairWrite => OpKind::Write,
+        }
+    }
 }
 
 /// Count of disk I/Os by cause.

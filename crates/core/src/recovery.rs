@@ -94,18 +94,10 @@ pub struct CrashImage {
     /// (written with the data it covers), so it survives a power cut
     /// and anchors the power-on write-intent cross-check.
     pub integrity: Option<IntegrityState>,
-    /// True once the marking memory's contents are untrusted.
-    pub nvram_failed: bool,
     /// Simulated instant of the cut.
     pub at: SimTime,
     /// Events processed before the power was cut.
     pub events_processed: u64,
-    /// The rebuild sweep's cursor at the cut, if one was running.
-    /// Informational: recovery restarts the sweep from scratch.
-    pub rebuild_cursor: Option<u64>,
-    /// Disk draining toward a health eviction at the cut, if any.
-    /// Informational: the drain is volatile and dies with the crash.
-    pub evicting: Option<u32>,
 }
 
 impl CrashImage {
@@ -120,11 +112,8 @@ impl CrashImage {
             failed_disk: c.dead_disk(),
             scarred: c.scarred_units(),
             integrity: c.integrity_state().cloned(),
-            nvram_failed: c.marks().has_failed(),
             at: c.now(),
             events_processed,
-            rebuild_cursor: c.rebuild_cursor(),
-            evicting: c.evicting_disk(),
         })
     }
 
@@ -152,7 +141,6 @@ impl CrashImage {
     /// [`MarkingMemory::fail`] models.
     pub fn kill_nvram(&mut self) {
         self.marks.fail();
-        self.nvram_failed = true;
     }
 }
 
@@ -372,11 +360,8 @@ mod tests {
             failed_disk: None,
             scarred: Vec::new(),
             integrity: None,
-            nvram_failed: false,
             at: SimTime::ZERO,
             events_processed: 0,
-            rebuild_cursor: None,
-            evicting: None,
         }
     }
 

@@ -210,14 +210,6 @@ impl FaultInjector {
         self
     }
 
-    /// Installs silent corruption rates on an already-built injector
-    /// (the transient profile and its stream are untouched, so adding
-    /// corruption never perturbs an existing fault sequence).
-    pub fn set_silent(&mut self, silent: SilentProfile, rng: SplitMix64) {
-        self.silent = silent;
-        self.silent_rng = rng;
-    }
-
     /// Switches patient mode on or off.
     pub fn set_patient(&mut self, patient: bool) {
         self.patient = patient;
