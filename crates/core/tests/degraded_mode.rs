@@ -5,6 +5,7 @@
 use afraid::config::ArrayConfig;
 use afraid::driver::{run_to_cut, run_trace, RunOptions};
 use afraid::policy::ParityPolicy;
+use afraid::regions::{Region, RegionMap, RegionMode};
 use afraid_sim::time::{SimDuration, SimTime};
 use afraid_trace::record::{IoRecord, ReqKind, Trace};
 
@@ -127,6 +128,39 @@ fn scarred_unit_reads_fail_until_rewritten() {
     assert_eq!(r.metrics.io.reconstruct_read, 4);
     let loss = r.loss.expect("failure injected");
     assert_eq!(loss.lost_units, 1);
+}
+
+#[test]
+fn degraded_reads_of_raid0_region_units_fail_like_lost_ones() {
+    // 40 one-unit writes to units 0-39, a disk failure before the idle
+    // scrub, then reads of the same units. A whole-array RAID 0
+    // (never-protect) region keeps no parity, so the dead disk's units
+    // are gone exactly as the unscrubbed AFRAID ones are: their reads
+    // must fail, not be reconstructed from parity that was never kept.
+    let mut recs: Vec<(u64, u64, u64, ReqKind)> = (0..40)
+        .map(|i| (800 + 5 * i, i * 8192, 8192, ReqKind::Write))
+        .collect();
+    recs.extend((0..40).map(|i| (2_000 + 5 * i, i * 8192, 8192, ReqKind::Read)));
+    let t = trace_of(&recs);
+    for shadow in [false, true] {
+        let mut cfg = ArrayConfig::small_test(ParityPolicy::IdleOnly);
+        cfg.shadow = shadow;
+        let plain = run_trace(&cfg, &t, &degraded_opts(0, 1_000));
+        assert_eq!(plain.loss.expect("failure injected").lost_units, 8);
+        assert_eq!(plain.metrics.failed_reads, 8);
+        assert_eq!(plain.metrics.io.reconstruct_read, 0);
+
+        cfg.regions = RegionMap::new(vec![Region {
+            first_stripe: 0,
+            stripes: 2500,
+            mode: RegionMode::NeverProtect,
+        }]);
+        let raid0 = run_trace(&cfg, &t, &degraded_opts(0, 1_000));
+        let loss = raid0.loss.expect("failure injected");
+        assert_eq!(loss.declared_unprotected_units, 2000);
+        assert_eq!(raid0.metrics.failed_reads, 8, "shadow {shadow}");
+        assert_eq!(raid0.metrics.io.reconstruct_read, 0, "shadow {shadow}");
+    }
 }
 
 #[test]
