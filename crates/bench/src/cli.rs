@@ -52,7 +52,7 @@ or any cell reports a false positive), 2 on a bad argument.
 SHARED OPTIONS (each means the same wherever it is accepted):
     --secs <n>            simulated trace duration in whole seconds
                           (default: run, sweep, paper 600; integrity 60;
-                          chaos 5, as chaos replays the run once per cut)
+                          chaos 5)
     --seed <n>            workload seed (default: 42)
     --jobs <n>            worker threads; output is byte-identical at
                           any count (default: AFRAID_JOBS or all cores;

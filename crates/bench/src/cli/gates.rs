@@ -21,9 +21,9 @@ use crate::harness::{self, header, RESULT_SCHEMA};
 
 /// `chaos`: for each scenario, crash the array at `cuts_n` evenly
 /// spread event boundaries (replay to the cut, power off, recover from
-/// NVRAM + survivors, byte-check against the shadow model). Cut
-/// verdicts are ordinary cells: `--jobs` fans them over workers with
-/// bit-identical output, and `--cache` replays memoised verdicts.
+/// NVRAM + survivors, byte-check against the shadow model). `--jobs`
+/// splits each sweep's cuts over workers with bit-identical output,
+/// and `--cache` replays a memoised sweep as one entry.
 /// Returns whether every cut passed.
 pub(super) fn chaos(
     c: &Common,

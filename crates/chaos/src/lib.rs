@@ -18,10 +18,11 @@
 //! 5. **byte-check** the recovered array against the shadow model's
 //!    ground truth and judge the cut ([`verdict::judge`]).
 //!
-//! A cut index is just another cell coordinate, so sweeps over
-//! thousands of cuts fan out through [`afraid_exp::map_parallel`]
-//! (bit-identical at any `--jobs`) and memoise through
-//! [`afraid_exp::CellCache`] (warm sweeps replay from disk).
+//! A sweep replays its trace once per worker, not once per cut:
+//! [`afraid::driver::run_to_cuts`] captures a chunk of sorted cuts in
+//! one pass, chunks fan out through [`afraid_exp::map_parallel`]
+//! (bit-identical at any `--jobs`), and [`afraid_exp::CellCache`]
+//! memoises a whole sweep as one entry.
 //!
 //! The scenarios ([`scenario::Scenario`]) aim the cuts at the states
 //! the paper's failure-mode table worries about: mid-scrub, mid-

@@ -6,7 +6,7 @@
 //! reproducible crash experiment.
 
 use afraid::config::ArrayConfig;
-use afraid::driver::{run_to_cut, run_trace, RunOptions};
+use afraid::driver::{run_to_cut, run_to_cuts, run_trace, CrashRun, RunOptions};
 use afraid::policy::ParityPolicy;
 use afraid::recovery::replay;
 use afraid_sim::time::{SimDuration, SimTime};
@@ -227,7 +227,20 @@ impl ChaosSpec {
     /// Runs one crash experiment: replay to the cut, apply the
     /// crash-time injections, recover, and judge.
     pub fn run_cut(&self, trace: &Trace, cut: u64) -> CutVerdict {
-        let mut run = run_to_cut(&self.cfg, trace, &self.opts, cut);
+        self.verdict(cut, run_to_cut(&self.cfg, trace, &self.opts, cut))
+    }
+
+    /// [`ChaosSpec::run_cut`] at each of the sorted `cuts`, in one replay.
+    pub fn run_cuts(&self, trace: &Trace, cuts: &[u64]) -> Vec<CutVerdict> {
+        let mut verdicts = Vec::with_capacity(cuts.len());
+        run_to_cuts(&self.cfg, trace, &self.opts, cuts, |run| {
+            verdicts.push(self.verdict(cuts[verdicts.len()], run));
+        });
+        verdicts
+    }
+
+    /// Applies the crash-time injections at `cut`, recovers, and judges.
+    fn verdict(&self, cut: u64, mut run: CrashRun) -> CutVerdict {
         if let Some(disk) = self.kill_disk_at_cut {
             // If an in-run failure already left a disk dead, the
             // crash-time kill would be a second failure — array loss,

@@ -1,18 +1,20 @@
-//! Cut-point sweeps: fan thousands of crash experiments across cores.
+//! Cut-point sweeps: thousands of crash experiments from a few replays.
 //!
-//! The cut index is an ordinary cell coordinate: each cut replays the
-//! simulation deterministically from event 0, so verdicts are pure
-//! functions of `(scenario, seed, duration, cut)` — bit-identical at
-//! any `--jobs` count, and memoisable in the cross-run cell cache.
+//! A verdict is a pure function of `(scenario, seed, duration, cut)`,
+//! and capturing the crash state at a cut leaves the run intact, so a
+//! sweep steps one replay through its sorted cuts instead of replaying
+//! from event 0 per cut. `--jobs` splits the cut list into contiguous
+//! chunks, one replay each, with bit-identical output at any count; the
+//! cross-run cell cache memoises a whole sweep as one entry.
 
-use afraid_exp::{map_parallel, CacheKey, CellCache};
+use afraid_exp::{map_parallel, CellCache};
 use afraid_trace::record::Trace;
 use serde::{Deserialize, Serialize};
 
 use crate::scenario::ChaosSpec;
 use crate::verdict::CutVerdict;
 
-/// Cache schema tag for chaos cut cells. Bump when the verdict shape
+/// Cache schema tag for chaos sweeps. Bump when the verdict shape
 /// or the recovery semantics change.
 /// v2: silent-corruption injection, the power-on checksum cross-check,
 /// and the corruption fields in [`CutVerdict`].
@@ -42,13 +44,31 @@ pub fn cut_points(total_events: u64, n: usize) -> Vec<u64> {
     cuts
 }
 
-/// The cache key of one cut cell: every coordinate that can change the
-/// verdict, plus the scenario's full config encoding so a config tweak
-/// orphans stale entries.
-pub fn cut_key(cache: &CellCache, spec: &ChaosSpec, trace: &Trace, cut: u64) -> CacheKey {
-    cache
+/// Runs (or replays from cache) the verdicts for every cut, in input
+/// order: the sorted `cuts` split into `jobs` contiguous chunks, one
+/// replay each. The cache entry is keyed by every coordinate that can
+/// change a verdict, down to the config encoding and the cut list.
+pub fn sweep(
+    spec: &ChaosSpec,
+    trace: &Trace,
+    cuts: &[u64],
+    jobs: usize,
+    cache: Option<&CellCache>,
+) -> Vec<CutVerdict> {
+    let run = || {
+        let size = cuts.len().div_ceil(jobs.max(1)).max(1);
+        let chunks: Vec<&[u64]> = cuts.chunks(size).collect();
+        map_parallel(jobs, &chunks, |_, chunk| spec.run_cuts(trace, chunk))
+            .into_iter()
+            .flatten()
+            .collect()
+    };
+    let Some(cache) = cache else {
+        return run();
+    };
+    let mut key = cache
         .key_builder()
-        .str("chaos-cut")
+        .str("chaos-sweep")
         .str(spec.scenario.name())
         .str(&spec.cfg.cache_encoding())
         .str(&format!("{:?}", spec.opts))
@@ -57,23 +77,11 @@ pub fn cut_key(cache: &CellCache, spec: &ChaosSpec, trace: &Trace, cut: u64) -> 
         .u64(spec.seed)
         .u64(spec.kill_disk_at_cut.map_or(u64::MAX, u64::from))
         .u64(u64::from(spec.kill_nvram_at_cut))
-        .u64(cut)
-        .finish()
-}
-
-/// Runs (or replays from cache) the verdicts for every cut, in input
-/// order, `jobs`-parallel.
-pub fn sweep(
-    spec: &ChaosSpec,
-    trace: &Trace,
-    cuts: &[u64],
-    jobs: usize,
-    cache: Option<&CellCache>,
-) -> Vec<CutVerdict> {
-    map_parallel(jobs, cuts, |_, &cut| match cache {
-        Some(c) => c.run_cached(&cut_key(c, spec, trace, cut), || spec.run_cut(trace, cut)),
-        None => spec.run_cut(trace, cut),
-    })
+        .u64(cuts.len() as u64);
+    for &cut in cuts {
+        key = key.u64(cut);
+    }
+    cache.run_cached(&key.finish(), run)
 }
 
 /// Aggregate of one scenario's sweep, for reports and CI gates.

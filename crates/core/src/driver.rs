@@ -11,10 +11,10 @@
 //! [`run_to_cut`] drives the *same* loop but cuts the power after a
 //! fixed number of processed events, returning the crash-durable
 //! state ([`CrashImage`]) for the chaos harness to recover and
-//! byte-check. Because both entry points share one step function, a
+//! byte-check. Because every entry point shares one step function, a
 //! cut at `k` events observes exactly the state `run_trace` passed
-//! through after its `k`-th event — the cut index is a pure
-//! coordinate, which is what makes chaos sweeps cell-cacheable.
+//! through after its `k`-th event; [`run_to_cuts`] captures a whole
+//! sorted cut list in one replay, each capture equal to a fresh cut.
 
 use afraid_sim::time::{SimDuration, SimTime};
 use afraid_trace::record::Trace;
@@ -84,7 +84,7 @@ pub struct CrashRun {
 }
 
 /// One in-flight trace replay: the event loop state shared by
-/// [`run_trace`] and [`run_to_cut`].
+/// [`run_trace`], [`run_to_cut`] and [`run_to_cuts`].
 struct TraceRun<'a> {
     cfg: &'a ArrayConfig,
     trace: &'a Trace,
@@ -232,6 +232,25 @@ impl<'a> TraceRun<'a> {
         }
     }
 
+    /// Steps until `cut` events have been processed (or the run is
+    /// over) and captures the crash-durable state there, leaving the
+    /// run to continue toward a later cut.
+    #[expect(
+        clippy::expect_used,
+        reason = "the documented panic of run_to_cut(s) on a config without the shadow model"
+    )]
+    fn crash_at(&mut self, cut: u64) -> CrashRun {
+        while self.c.metrics.run.events_processed < cut && self.step() {}
+        let events_processed = self.c.metrics.run.events_processed;
+        let image = CrashImage::capture(&self.c, events_processed)
+            .expect("a crash capture needs cfg.shadow = true for recovery ground truth");
+        CrashRun {
+            image,
+            loss: self.loss.clone(),
+            events_processed,
+        }
+    }
+
     fn finish(mut self) -> RunResult {
         let end = self.c.now.max(self.trace.end_time());
         if let Some(counters) = self.c.integrity_state().map(|int| int.counters) {
@@ -270,23 +289,29 @@ pub fn run_trace(cfg: &ArrayConfig, trace: &Trace, opts: &RunOptions) -> RunResu
 /// be true: crash recovery is verified against it), if the
 /// configuration is invalid, or if the trace exceeds the array's
 /// capacity.
-#[expect(
-    clippy::expect_used,
-    reason = "guarded: the assert!(cfg.shadow) at entry guarantees the shadow model exists"
-)]
 pub fn run_to_cut(cfg: &ArrayConfig, trace: &Trace, opts: &RunOptions, cut: u64) -> CrashRun {
+    TraceRun::new(cfg, trace, opts).crash_at(cut)
+}
+
+/// Replays `trace` once, calling `f` with what [`run_to_cut`] returns
+/// at each of `cuts`, in order.
+///
+/// # Panics
+///
+/// Panics if `cuts` decreases anywhere, and wherever [`run_to_cut`] does.
+pub fn run_to_cuts(
+    cfg: &ArrayConfig,
+    trace: &Trace,
+    opts: &RunOptions,
+    cuts: &[u64],
+    mut f: impl FnMut(CrashRun),
+) {
     assert!(
-        cfg.shadow,
-        "run_to_cut needs cfg.shadow = true for recovery ground truth"
+        cuts.windows(2).all(|w| w[0] <= w[1]),
+        "run_to_cuts needs non-decreasing cuts"
     );
     let mut run = TraceRun::new(cfg, trace, opts);
-    while run.c.metrics.run.events_processed < cut && run.step() {}
-    let events_processed = run.c.metrics.run.events_processed;
-    let image =
-        CrashImage::capture(&run.c, events_processed).expect("shadow model present: checked above");
-    CrashRun {
-        image,
-        loss: run.loss,
-        events_processed,
+    for &cut in cuts {
+        f(run.crash_at(cut));
     }
 }

@@ -17,7 +17,7 @@
 //!   every disk the same phase ([`disk`]).
 //! * **Skewed layout** — track and cylinder skew hide head-switch and
 //!   track-to-track-seek times during sequential transfers.
-//! * **Request schedulers** — FCFS, CLOOK, SSTF and SCAN ([`sched`]);
+//! * **Request schedulers** — FCFS, CLOOK and SSTF ([`sched`]);
 //!   the paper uses CLOOK in the host driver and FCFS at the back end.
 //! * **Transient faults** — an optional deterministic per-I/O fault
 //!   process: media errors, command timeouts, fail-slow service

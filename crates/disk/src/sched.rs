@@ -2,8 +2,8 @@
 //!
 //! The AFRAID experiments use CLOOK in the host device driver (sorting
 //! by array logical block address) and FCFS in the per-disk back-end
-//! queues (\[Worthington94\]). SSTF and SCAN are included for
-//! completeness and for the ablation bench.
+//! queues (\[Worthington94\]). SSTF is included for the ablation
+//! bench.
 
 #![deny(clippy::indexing_slicing)]
 
@@ -19,8 +19,6 @@ pub enum Policy {
     Clook,
     /// Shortest seek time first: nearest position next.
     Sstf,
-    /// Elevator: sweep up, then down.
-    Scan,
 }
 
 /// A position-aware request queue.
@@ -49,8 +47,6 @@ pub struct Scheduler<T> {
     queue: Vec<(u64, u64, T)>,
     next_seq: u64,
     head_pos: u64,
-    /// SCAN sweep direction: true = ascending.
-    ascending: bool,
 }
 
 impl<T> Scheduler<T> {
@@ -61,7 +57,6 @@ impl<T> Scheduler<T> {
             queue: Vec::new(),
             next_seq: 0,
             head_pos: 0,
-            ascending: true,
         }
     }
 
@@ -94,7 +89,6 @@ impl<T> Scheduler<T> {
             Policy::Fcfs => self.pick_fcfs(),
             Policy::Clook => self.pick_clook(),
             Policy::Sstf => self.pick_sstf(),
-            Policy::Scan => self.pick_scan(),
         }?;
         let (pos, _, item) = self.queue.swap_remove(idx);
         self.head_pos = pos;
@@ -138,25 +132,6 @@ impl<T> Scheduler<T> {
             .enumerate()
             .min_by_key(|(_, &(pos, seq, _))| (pos.abs_diff(self.head_pos), seq))
             .map(|(i, _)| i)
-    }
-
-    /// SCAN: continue the sweep; reverse when nothing remains ahead.
-    /// The direction flip only happens with items still queued (`pop`
-    /// checked), so the sweep state never changes on an empty queue.
-    fn pick_scan(&mut self) -> Option<usize> {
-        let pick_dir = |queue: &[(u64, u64, T)], head: u64, asc: bool| -> Option<usize> {
-            queue
-                .iter()
-                .enumerate()
-                .filter(|(_, &(pos, _, _))| if asc { pos >= head } else { pos <= head })
-                .min_by_key(|(_, &(pos, seq, _))| (pos.abs_diff(head), seq))
-                .map(|(i, _)| i)
-        };
-        if let Some(i) = pick_dir(&self.queue, self.head_pos, self.ascending) {
-            return Some(i);
-        }
-        self.ascending = !self.ascending;
-        pick_dir(&self.queue, self.head_pos, self.ascending)
     }
 }
 
@@ -228,22 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn scan_sweeps_and_reverses() {
-        let mut s = Scheduler::new(Policy::Scan);
-        for (pos, id) in [(50, 1), (10, 2), (90, 3)] {
-            s.push(pos, id);
-        }
-        // Ascending from 0: 10, 50, 90.
-        assert_eq!(s.pop(), Some(2));
-        assert_eq!(s.pop(), Some(1));
-        // Before reaching 90, something below arrives: SCAN must finish
-        // the up-sweep first.
-        s.push(20, 4);
-        assert_eq!(s.pop(), Some(3));
-        assert_eq!(s.pop(), Some(4)); // then reverses
-    }
-
-    #[test]
     fn empty_pop_is_none() {
         let mut s: Scheduler<u32> = Scheduler::new(Policy::Clook);
         assert_eq!(s.pop(), None);
@@ -263,7 +222,7 @@ mod tests {
 
     #[test]
     fn all_policies_drain_everything() {
-        for policy in [Policy::Fcfs, Policy::Clook, Policy::Sstf, Policy::Scan] {
+        for policy in [Policy::Fcfs, Policy::Clook, Policy::Sstf] {
             let mut s = Scheduler::new(policy);
             for i in 0..50u32 {
                 s.push(u64::from(i * 37 % 100), i);

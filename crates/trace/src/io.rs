@@ -1,20 +1,15 @@
-//! Trace serialisation.
+//! Trace serialisation: a compact line-oriented text format, one
+//! request per line — human-inspectable and diff-friendly, used by the
+//! examples:
 //!
-//! Two formats are provided:
+//! ```text
+//! # afraid-trace v1
+//! name cello-news
+//! capacity 8589934592
+//! 1500000 4096 8192 W
+//! ```
 //!
-//! * A compact line-oriented text format, one request per line —
-//!   human-inspectable and diff-friendly, used by the examples:
-//!
-//!   ```text
-//!   # afraid-trace v1
-//!   name cello-news
-//!   capacity 8589934592
-//!   1500000 4096 8192 W
-//!   ```
-//!
-//!   (columns: arrival time in ns, byte offset, length, R/W).
-//!
-//! * JSON via serde, for programmatic interchange.
+//! (columns: arrival time in ns, byte offset, length, R/W).
 
 use afraid_sim::time::SimTime;
 use std::fmt;
@@ -189,24 +184,6 @@ pub fn read_text<R: BufRead>(r: R) -> Result<Trace, TraceIoError> {
     Ok(trace)
 }
 
-/// Serialises a trace as JSON.
-///
-/// # Errors
-///
-/// Returns any serialisation or I/O error.
-pub fn write_json<W: Write>(trace: &Trace, w: W) -> Result<(), serde_json::Error> {
-    serde_json::to_writer(w, trace)
-}
-
-/// Deserialises a trace from JSON.
-///
-/// # Errors
-///
-/// Returns any deserialisation or I/O error.
-pub fn read_json<R: std::io::Read>(r: R) -> Result<Trace, serde_json::Error> {
-    serde_json::from_reader(r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,15 +202,6 @@ mod tests {
         let back = read_text(buf.as_slice()).unwrap();
         assert_eq!(back.name, t.name);
         assert_eq!(back.capacity, t.capacity);
-        assert_eq!(back.records, t.records);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let t = sample();
-        let mut buf = Vec::new();
-        write_json(&t, &mut buf).unwrap();
-        let back = read_json(buf.as_slice()).unwrap();
         assert_eq!(back.records, t.records);
     }
 

@@ -7,15 +7,17 @@
 //! is byte-identical to the pre-crash contents outside the declared
 //! (and priced-in) loss set.
 
+use afraid::driver::{run_to_cut, run_to_cuts};
 use afraid_chaos::{cut_points, summarize, sweep, Scenario};
+use afraid_sim::rng::SplitMix64;
 use afraid_sim::time::SimDuration;
 
 const SEED: u64 = 42;
 
 /// Sweeps `n_cuts` evenly spread cuts of a `secs`-second trace and
-/// asserts every one recovered. Durations are per-scenario: each cut
-/// replays the simulation from event 0, so sweep cost is
-/// O(cuts × events) and the traces are kept short.
+/// asserts every one recovered. Durations are per-scenario: a sweep
+/// replays the trace once per worker, but every cut still pays a
+/// capture, a recovery and a byte-check of the whole array.
 fn assert_all_pass(scenario: Scenario, secs: u64, n_cuts: usize) -> afraid_chaos::SweepSummary {
     let spec = scenario.spec(SimDuration::from_secs(secs), SEED);
     let trace = spec.trace();
@@ -153,10 +155,11 @@ fn thousand_cut_acceptance_sweep() {
     }
 }
 
-/// Verdicts are a pure function of the cut coordinate: a jobs=1 and a
-/// jobs=4 sweep serialize byte-identically. The corruption scenario
-/// rides along because its per-disk silent-fault streams are the most
-/// recent determinism hazard.
+/// Verdicts are a pure function of the cut coordinate: sweeps at
+/// jobs 1, 2, 3 and 4 serialize byte-identically, so uneven chunk
+/// boundaries change nothing. The corruption scenario rides along
+/// because its per-disk silent-fault streams are the most recent
+/// determinism hazard.
 #[test]
 fn sweep_is_bit_identical_across_jobs() {
     for scenario in [Scenario::Rebuild, Scenario::Corruption] {
@@ -164,16 +167,37 @@ fn sweep_is_bit_identical_across_jobs() {
         let trace = spec.trace();
         let total = spec.total_events(&trace);
         let cuts = cut_points(total, 48);
-        let seq = sweep(&spec, &trace, &cuts, 1, None);
-        let par = sweep(&spec, &trace, &cuts, 4, None);
-        let a = serde_json::to_string(&seq).unwrap();
-        let b = serde_json::to_string(&par).unwrap();
-        assert_eq!(
-            a,
-            b,
-            "{}: jobs=1 vs jobs=4 sweeps diverged",
-            scenario.name()
-        );
+        let seq = serde_json::to_string(&sweep(&spec, &trace, &cuts, 1, None)).unwrap();
+        for jobs in [2, 3, 4] {
+            let par = serde_json::to_string(&sweep(&spec, &trace, &cuts, jobs, None)).unwrap();
+            assert_eq!(
+                seq, par,
+                "{scenario:?}: jobs=1 vs jobs={jobs} sweeps diverged"
+            );
+        }
+    }
+}
+
+/// One replay stepped through a sorted cut list captures, at every
+/// cut, exactly what a fresh replay cut there does — on seeded random
+/// cut sets with repeats, cut 0 and cuts past the drain.
+#[test]
+fn run_to_cuts_matches_run_to_cut() {
+    let mut rng = SplitMix64::new(SEED);
+    for scenario in Scenario::ALL {
+        let spec = scenario.spec(SimDuration::from_secs(1), SEED);
+        let trace = spec.trace();
+        let total = spec.total_events(&trace);
+        let mut cuts: Vec<u64> = (0..12).map(|_| rng.next_below(total + 50)).collect();
+        cuts.extend([0, cuts[0], total + 1_000]);
+        cuts.sort_unstable();
+        let mut seen = 0;
+        run_to_cuts(&spec.cfg, &trace, &spec.opts, &cuts, |run| {
+            let fresh = run_to_cut(&spec.cfg, &trace, &spec.opts, cuts[seen]);
+            assert_eq!(format!("{run:?}"), format!("{fresh:?}"), "{scenario:?}");
+            seen += 1;
+        });
+        assert_eq!(seen, cuts.len(), "{scenario:?}");
     }
 }
 
