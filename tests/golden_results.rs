@@ -4,8 +4,11 @@
 //! and re-arm, a pre-scheduled parity-point timeline, tour ticks under
 //! transient faults, and the tour-tick cancel on entering degraded
 //! mode. Three more pin an NVRAM failure's rescan, silent corruption
-//! alone, and silent with transient faults up to an eviction; one
-//! chaos cut verdict adds crash recovery. A deliberate result
+//! alone, and silent with transient faults up to an eviction; an NVRAM
+//! failure under RAID 5 drives the reconstruct-write of marked
+//! stripes, and a degraded run over a never-protected region under
+//! corruption drives the dead-disk pass. One chaos cut verdict adds
+//! crash recovery. A deliberate result
 //! change bumps its schema tag (`tests/golden_schema.rs`) and copies
 //! the live output, which a failing cell writes under the target
 //! directory, over the golden file.
@@ -15,6 +18,7 @@ use std::path::Path;
 use afraid::config::ArrayConfig;
 use afraid::driver::{run_trace, RunOptions};
 use afraid::policy::ParityPolicy;
+use afraid::regions::{Region, RegionMap, RegionMode};
 use afraid_bench::cli;
 use afraid_chaos::scenario::Scenario;
 use afraid_sim::time::{SimDuration, SimTime};
@@ -43,7 +47,7 @@ fn pretty(value: &impl serde::Serialize) -> String {
 }
 
 /// `(cell, afraid-cli run flags)`.
-const CLI_CELLS: [(&str, &str); 7] = [
+const CLI_CELLS: [(&str, &str); 8] = [
     // Multi-I/O bursts: RAID 5 read-modify-writes.
     ("raid5-bursts", "--workload cello-news --policy raid5 --secs 60"),
     // Idle-timer cancel and re-arm under AFRAID.
@@ -55,6 +59,9 @@ const CLI_CELLS: [(&str, &str); 7] = [
     // An NVRAM failure: the whole-array parity rescan and the instant
     // the array is reprotected.
     ("nvram-rescan", "--workload att --secs 30 --fail-nvram 10"),
+    // After an NVRAM failure every stripe is marked, so every RAID 5
+    // write is a reconstruct-write of a stale stripe.
+    ("nvram-raid5", "--workload att --secs 30 --fail-nvram 10 --policy raid5"),
     // Silent corruption without transient faults.
     ("corrupt-only", "--workload cello-news --secs 30 --corrupt 1e-2 --verify-reads"),
     // Silent and transient faults on the same disks, and one eviction.
@@ -92,6 +99,43 @@ fn parity_point_timeline() {
     let r = run_trace(&cfg, &trace, &opts);
     assert_eq!(r.metrics.parity_points, 200);
     assert_golden("parity-points", &pretty(&r));
+}
+
+/// A disk failure over a never-protected region plus default stripes,
+/// under silent corruption with verification and tours: entering
+/// degraded mode scars the dead disk's units on dirty and on
+/// never-protected stripes, and sends clean stripes carrying rot
+/// through the checksum.
+#[test]
+fn degraded_region_under_corruption() {
+    let mut cfg = ArrayConfig::small_test(ParityPolicy::IdleOnly);
+    cfg.regions = RegionMap::new(vec![Region {
+        first_stripe: 0,
+        stripes: 500,
+        mode: RegionMode::NeverProtect,
+    }]);
+    let i = &mut cfg.integrity;
+    (i.bit_flip_per_read, i.torn_write_per_io) = (1e-2, 1e-2);
+    (i.lost_write_per_io, i.misdirected_write_per_io) = (1e-2, 1e-2);
+    (i.verify_reads, i.verify_scrub) = (true, true);
+    cfg.scrub.enabled = true;
+    let trace = WorkloadSpec::preset(WorkloadKind::Att).generate(
+        2500 * 4 * 8192,
+        SimDuration::from_secs(20),
+        42,
+    );
+    let opts = RunOptions {
+        fail_disk: Some((2, SimTime::from_secs(7))),
+        continue_degraded: true,
+        spare_delay: Some(SimDuration::from_secs(3)),
+        ..RunOptions::default()
+    };
+    let r = run_trace(&cfg, &trace, &opts);
+    let loss = r.loss.as_ref().expect("a disk failure was injected");
+    assert!(loss.lost_units > 0, "{loss:?}");
+    assert!(loss.declared_unprotected_units > 0, "{loss:?}");
+    assert!(loss.corrupt_lost_units > 0, "{loss:?}");
+    assert_golden("degraded-regions", &pretty(&r));
 }
 
 #[test]
