@@ -1,0 +1,125 @@
+//! Crash recovery over per-region redundancy (paper §5): a stripe in
+//! a never-protected region keeps no parity, so recovery must treat
+//! it as stale, never as fresh, and the judge must not ask it for
+//! parity it never kept.
+//!
+//! Each configuration is cut at about 100 evenly spread events and
+//! every cut is judged three ways: a plain power loss, a power loss
+//! that also kills disk 0, and one that kills the NVRAM and disk 2.
+//!
+//! The trace seed honours `AFRAID_SEED` (default 42) so CI can sweep
+//! several seeds over the same invariants.
+
+use afraid::config::ArrayConfig;
+use afraid::driver::{run_to_cuts, run_trace, RunOptions};
+use afraid::policy::ParityPolicy;
+use afraid::recovery::replay;
+use afraid::regions::{Region, RegionMap, RegionMode};
+use afraid_chaos::{cut_points, judge};
+use afraid_sim::time::SimDuration;
+use afraid_trace::workloads::{WorkloadKind, WorkloadSpec};
+
+#[expect(clippy::disallowed_methods, reason = "CI reruns this at several seeds")]
+fn seed() -> u64 {
+    std::env::var("AFRAID_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(42)
+}
+
+fn region(first_stripe: u64, stripes: u64, mode: RegionMode) -> Region {
+    Region {
+        first_stripe,
+        stripes,
+        mode,
+    }
+}
+
+/// Sums over every judged cut, for the exercise checks. `marked`
+/// leaves out the NVRAM kills, which mark every stripe.
+#[derive(Debug, Default)]
+struct Tally {
+    verdicts: u64,
+    marked: u64,
+    declared_lost: u64,
+    truly_lost: u64,
+}
+
+/// Cuts a 5 s Att run over `regions` at about 100 points, judges each
+/// cut plain, with disk 0 killed, and with the NVRAM and disk 2
+/// killed, and asserts that every verdict passes.
+fn assert_every_cut_recovers(regions: RegionMap) -> Tally {
+    let mut cfg = ArrayConfig::small_test(ParityPolicy::IdleOnly);
+    cfg.regions = regions;
+    let trace = WorkloadSpec::preset(WorkloadKind::Att).generate(
+        2500 * 4 * 8192,
+        SimDuration::from_secs(5),
+        seed(),
+    );
+    let opts = RunOptions::default();
+    let total = run_trace(&cfg, &trace, &opts).metrics.events_processed;
+    assert!(total > 100, "degenerate trace ({total} events)");
+    let cuts = cut_points(total, 100);
+    let mut tally = Tally::default();
+    let mut failures = Vec::new();
+    run_to_cuts(&cfg, &trace, &opts, &cuts, |run| {
+        let cut = run.events_processed;
+        for (name, kill_disk, kill_nvram) in [
+            ("plain", None, false),
+            ("disk 0", Some(0), false),
+            ("nvram + disk 2", Some(2), true),
+        ] {
+            let mut image = run.image.clone();
+            if let Some(disk) = kill_disk {
+                image.kill_disk(disk);
+            }
+            if kill_nvram {
+                image.kill_nvram();
+            }
+            let v = judge(cut, &image, &replay(&image), run.loss.as_ref());
+            tally.verdicts += 1;
+            if !v.nvram_failed {
+                tally.marked += v.marked;
+            }
+            tally.declared_lost += v.declared_lost;
+            tally.truly_lost += v.truly_lost;
+            if !v.pass {
+                failures.push(format!("cut {cut} ({name}): {:?}", v.failure));
+            }
+        }
+    });
+    assert!(
+        failures.is_empty(),
+        "{} of {} verdicts failed; first: {}",
+        failures.len(),
+        tally.verdicts,
+        failures[0]
+    );
+    tally
+}
+
+/// A never-protected region, an always-protected region and default
+/// stripes in one array.
+#[test]
+fn mixed_regions_recover_at_every_cut() {
+    let t = assert_every_cut_recovers(RegionMap::new(vec![
+        region(0, 500, RegionMode::NeverProtect),
+        region(1000, 500, RegionMode::AlwaysProtect),
+    ]));
+    assert!(t.marked > 0, "no cut caught a dirty stripe: {t:?}");
+    assert!(t.truly_lost > 0, "no cut lost a unit: {t:?}");
+}
+
+/// The whole array run as RAID 0: every dead-disk data unit is
+/// declared lost, and no stripe is asked for parity.
+#[test]
+fn never_protected_array_recovers_at_every_cut() {
+    let t = assert_every_cut_recovers(RegionMap::new(vec![region(
+        0,
+        2500,
+        RegionMode::NeverProtect,
+    )]));
+    assert_eq!(t.marked, 0, "never-protected stripes were marked: {t:?}");
+    assert!(t.truly_lost > 0, "no cut lost a unit: {t:?}");
+    assert!(t.declared_lost >= t.truly_lost, "{t:?}");
+}
