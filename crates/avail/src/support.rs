@@ -86,16 +86,6 @@ pub struct SupportModel {
 }
 
 impl SupportModel {
-    /// The paper's working assumption: an aggregate 2M-hour MTTDL for a
-    /// conservatively engineered small array, represented as a single
-    /// lumped component.
-    pub fn lumped_2m_hours() -> SupportModel {
-        SupportModel {
-            components: vec![Component::single("support (lumped)", 2.0e6)],
-            mttr: 48.0,
-        }
-    }
-
     /// A representative discrete bill of materials built from the
     /// component MTTFs quoted in §3.3 (controller 500k h, host bus
     /// adapter 400k h, redundant power supplies of 200k h each,
@@ -166,11 +156,6 @@ mod tests {
         // One spare: 150k²/(3·2·48) ≈ 7.8e7.
         let m = fans.mttdl(48.0);
         assert!((7.0e7..8.5e7).contains(&m), "fans mttdl {m:.3e}");
-    }
-
-    #[test]
-    fn lumped_model_matches_paper() {
-        assert_eq!(SupportModel::lumped_2m_hours().mttdl(), 2.0e6);
     }
 
     #[test]

@@ -125,12 +125,6 @@ impl PolicyEngine {
         self.policy
     }
 
-    /// True if this policy ever defers parity (i.e. stripes can become
-    /// dirty at all).
-    pub fn defers_parity(&self) -> bool {
-        !matches!(self.policy, ParityPolicy::AlwaysRaid5)
-    }
-
     /// Evaluates the policy against current observations.
     pub fn evaluate(&mut self, obs: &Observations) -> Directives {
         match self.policy {
@@ -243,7 +237,6 @@ mod tests {
         assert_eq!(d.write_mode, WriteMode::DataOnly);
         assert!(!d.scrub_now);
         assert!(!d.scrub_on_idle);
-        assert!(e.defers_parity());
     }
 
     #[test]
@@ -261,7 +254,6 @@ mod tests {
         let d = e.evaluate(&obs(0.0, 0, 0, 0.0));
         assert_eq!(d.write_mode, WriteMode::Raid5);
         assert!(!d.scrub_now);
-        assert!(!e.defers_parity());
     }
 
     #[test]

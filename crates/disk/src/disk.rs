@@ -153,11 +153,6 @@ impl Disk {
         self.free_at
     }
 
-    /// True if the disk is still working at `now`.
-    pub fn is_busy(&self, now: SimTime) -> bool {
-        self.free_at > now
-    }
-
     /// Marks the disk failed; subsequent submissions return
     /// [`IoOutcome::Failed`] without any physical I/O.
     pub fn fail(&mut self) {
@@ -505,8 +500,6 @@ mod tests {
         let first = d.submit(SimTime::ZERO, &read(0, 10)).expect_ok();
         let second = d.submit(SimTime::ZERO, &read(10, 10)).expect_ok();
         assert!(second > first);
-        assert!(d.is_busy(SimTime::ZERO));
-        assert!(!d.is_busy(second));
         assert_eq!(d.free_at(), second);
     }
 

@@ -70,15 +70,6 @@ impl IoOutcome {
     pub fn is_ok(&self) -> bool {
         matches!(self, IoOutcome::Ok(_))
     }
-
-    /// The instant the outcome is reported to the controller, if any
-    /// I/O was attempted at all.
-    pub fn report_at(&self) -> Option<SimTime> {
-        match self {
-            IoOutcome::Ok(t) | IoOutcome::MediaError(t) | IoOutcome::Timeout(t) => Some(*t),
-            IoOutcome::Failed => None,
-        }
-    }
 }
 
 /// Per-attempt fault rates and the command timeout.
@@ -250,11 +241,6 @@ impl FaultInjector {
         Fault::None
     }
 
-    /// True when any silent corruption rate is configured.
-    pub fn silent_active(&self) -> bool {
-        self.silent.active()
-    }
-
     /// Draws the silent fate of one write. Zero rates consume no
     /// random numbers; patient mode draws nothing at all (a condemned
     /// disk being drained is read-mostly and already on its way out).
@@ -381,8 +367,6 @@ mod tests {
         assert_eq!(IoOutcome::Ok(t).expect_ok(), t);
         assert!(IoOutcome::Ok(t).is_ok());
         assert!(!IoOutcome::Failed.is_ok());
-        assert_eq!(IoOutcome::MediaError(t).report_at(), Some(t));
-        assert_eq!(IoOutcome::Failed.report_at(), None);
     }
 
     #[test]
@@ -404,8 +388,6 @@ mod tests {
     fn silent_profile_activity() {
         assert!(!SilentProfile::NONE.active());
         assert!(silent(0.0, 0.0, 1e-9, 0.0).active());
-        let inj = FaultInjector::new(profile(0.0, 0.0), SplitMix64::new(1));
-        assert!(!inj.silent_active());
     }
 
     #[test]

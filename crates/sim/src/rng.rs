@@ -79,16 +79,6 @@ impl SplitMix64 {
         (m >> 64) as u64
     }
 
-    /// Returns a uniform integer in `[lo, hi)` .
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty.
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range [{lo}, {hi})");
-        lo + self.next_below(hi - lo)
-    }
-
     /// Returns `true` with probability `p`.
     ///
     /// # Panics
@@ -168,15 +158,6 @@ mod tests {
         }
         for &c in &counts {
             assert!((8_000..12_000).contains(&c), "bucket count {c}");
-        }
-    }
-
-    #[test]
-    fn range_u64_bounds() {
-        let mut r = SplitMix64::new(5);
-        for _ in 0..1000 {
-            let x = r.range_u64(10, 20);
-            assert!((10..20).contains(&x));
         }
     }
 

@@ -18,15 +18,14 @@
 //!   whether idle-time parity rebuilding is free.
 //!
 //! The module layout: [`record`] defines the trace format, [`gen`] the
-//! generators, [`workloads`] the nine presets, [`analysis`] the
-//! characterisation tools, and [`io`] a serialised on-disk format.
+//! generators, [`workloads`] the nine presets, and [`analysis`] the
+//! characterisation tools.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![deny(clippy::panic, clippy::unimplemented)]
 
 pub mod analysis;
 pub mod gen;
-pub mod io;
 pub mod record;
 pub mod workloads;
 

@@ -3,19 +3,12 @@
 //! and above all burstiness (AFRAID's entire premise is that idle
 //! time exists to scrub in).
 //!
-//! Also demonstrates the on-disk trace format: one workload is written
-//! to `/tmp/afraid-trace.txt` and read back.
-//!
 //! Run with: `cargo run --release --example trace_explorer`
 
 use afraid_sim::time::SimDuration;
 use afraid_trace::analysis::TraceProfile;
-use afraid_trace::io::{read_text, write_text};
 use afraid_trace::workloads::{WorkloadKind, WorkloadSpec};
-use std::fs::File;
-use std::io::{BufReader, BufWriter};
 
-#[expect(clippy::disallowed_methods, reason = "round-trips a trace via a file")]
 fn main() {
     let capacity = 7 * 1024 * 1024 * 1024;
     let duration = SimDuration::from_secs(600);
@@ -46,21 +39,4 @@ fn main() {
     println!();
     println!("CoV > 1 means burstier than Poisson; idle% is time inside gaps >= 100 ms —");
     println!("the windows AFRAID scrubs in. Note how even the 'busy' traces keep idle time.");
-
-    // Round-trip one trace through the text format.
-    let trace = WorkloadSpec::preset(WorkloadKind::Hplajw).generate(
-        capacity,
-        SimDuration::from_secs(60),
-        42,
-    );
-    let path = std::env::temp_dir().join("afraid-trace.txt");
-    write_text(&trace, BufWriter::new(File::create(&path).expect("create"))).expect("write trace");
-    let back = read_text(BufReader::new(File::open(&path).expect("open"))).expect("read trace");
-    assert_eq!(back.records, trace.records);
-    println!();
-    println!(
-        "wrote and re-read {} records via {} (text format v1)",
-        back.len(),
-        path.display()
-    );
 }
