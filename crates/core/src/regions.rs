@@ -124,6 +124,22 @@ impl RegionMap {
         !marks.is_marked(stripe) && self.mode_of(stripe) != RegionMode::NeverProtect
     }
 
+    /// Fails the NVRAM: the marking memory loses its contents and
+    /// every stripe that keeps parity is marked suspect
+    /// ([`MarkingMemory::fail`]); a never-protected stripe has no
+    /// parity to doubt and stays unmarked. The controller and crash
+    /// recovery both fail the NVRAM here.
+    pub fn fail_nvram(&self, marks: &mut MarkingMemory) {
+        marks.fail();
+        for r in &self.regions {
+            if r.mode == RegionMode::NeverProtect {
+                for stripe in r.first_stripe..r.first_stripe + r.stripes {
+                    marks.clear(stripe);
+                }
+            }
+        }
+    }
+
     /// Validates the map against an array of `total_stripes`.
     ///
     /// # Errors
@@ -172,6 +188,17 @@ mod tests {
         assert_eq!(m.mode_of(100), RegionMode::NeverProtect);
         assert_eq!(m.mode_of(149), RegionMode::NeverProtect);
         assert_eq!(m.mode_of(150), RegionMode::Default);
+    }
+
+    #[test]
+    fn nvram_failure_marks_only_stripes_with_parity() {
+        let mut marks = MarkingMemory::new(200, crate::nvram::MarkGranularity::STRIPE);
+        map().fail_nvram(&mut marks);
+        assert!(marks.has_failed());
+        assert_eq!(marks.marked_count(), 150);
+        for s in 0..200 {
+            assert_eq!(marks.is_marked(s), !(100..150).contains(&s), "stripe {s}");
+        }
     }
 
     #[test]
