@@ -72,11 +72,11 @@ impl ShadowArray {
     }
 
     /// XOR of *every* unit in the stripe — data and parity. Zero iff
-    /// the stripe's XOR identity holds. One chunked fold over the
-    /// contiguous row; per-unit results derive from it by XORing the
-    /// excluded word back out.
+    /// the stripe's XOR identity holds. One fold over the contiguous
+    /// row; per-unit results derive from it by XORing the excluded
+    /// word back out.
     fn row_xor(&self, stripe: u64) -> u64 {
-        xor_fold(self.row(stripe))
+        self.row(stripe).iter().fold(0, |acc, w| acc ^ w)
     }
 
     /// The content word of the unit on `disk` in `stripe`.
@@ -115,22 +115,12 @@ impl ShadowArray {
 
     /// XOR of the stripe's data words.
     ///
-    /// Computed as one chunked fold over the stripe's contiguous row
-    /// with the parity word XORed back out — algebraically identical
+    /// Computed as one fold over the stripe's contiguous row with the
+    /// parity word XORed back out — algebraically identical
     /// to folding the data units through the rotation indirection, but
     /// without the per-unit `data_disk` lookups.
     pub fn compute_parity(&self, stripe: u64) -> u64 {
         self.row_xor(stripe) ^ self.word(stripe, self.layout.parity_disk(stripe))
-    }
-
-    /// Reference implementation of [`ShadowArray::compute_parity`]:
-    /// the scalar per-data-unit fold the equivalence test checks the
-    /// chunked fold against.
-    #[cfg(test)]
-    fn compute_parity_scalar(&self, stripe: u64) -> u64 {
-        (0..self.layout.data_units())
-            .map(|u| self.data_word(stripe, u))
-            .fold(0, |a, w| a ^ w)
     }
 
     /// True if the stored parity equals the XOR of the data words.
@@ -156,7 +146,7 @@ impl ShadowArray {
 
     /// XOR of every unit in the stripe except the one on
     /// `failed_disk` — the value a reconstruction would produce.
-    /// Chunked row fold with the failed disk's word XORed back out.
+    /// Row fold with the failed disk's word XORed back out.
     pub fn xor_survivors(&self, stripe: u64, failed_disk: u32) -> u64 {
         self.row_xor(stripe) ^ self.word(stripe, failed_disk)
     }
@@ -167,16 +157,6 @@ impl ShadowArray {
         let word = self.xor_survivors(stripe, disk);
         self.set_word(stripe, disk, word);
         word
-    }
-
-    /// Reference implementation of [`ShadowArray::xor_survivors`]: the
-    /// scalar filter-fold the equivalence test checks the chunked fold
-    /// against.
-    #[cfg(test)]
-    fn xor_survivors_scalar(&self, stripe: u64, failed_disk: u32) -> u64 {
-        (0..self.layout.disks())
-            .filter(|&d| d != failed_disk)
-            .fold(0, |acc, d| acc ^ self.word(stripe, d))
     }
 
     /// The array layout.
@@ -252,27 +232,6 @@ impl ShadowArray {
     }
 }
 
-/// Chunked XOR fold: four independent `u64` accumulator lanes over
-/// exact 4-word chunks (`u64x4`-style — the compiler vectorises the
-/// independent lanes), a scalar tail for the remainder. XOR is
-/// associative and commutative, so the result equals a plain
-/// left-to-right fold for any slice.
-pub fn xor_fold(words: &[u64]) -> u64 {
-    let mut lanes = [0u64; 4];
-    let mut chunks = words.chunks_exact(4);
-    for c in &mut chunks {
-        lanes[0] ^= c[0];
-        lanes[1] ^= c[1];
-        lanes[2] ^= c[2];
-        lanes[3] ^= c[3];
-    }
-    let mut acc = lanes[0] ^ lanes[1] ^ lanes[2] ^ lanes[3];
-    for &w in chunks.remainder() {
-        acc ^= w;
-    }
-    acc
-}
-
 /// Deterministic initial content for a data unit.
 fn seed_word(stripe: u64, unit: u32) -> u64 {
     let mut z = stripe
@@ -300,48 +259,6 @@ mod tests {
         let s = ShadowArray::new(layout());
         for stripe in 0..s.layout().stripes() {
             assert!(s.parity_consistent(stripe), "stripe {stripe}");
-        }
-    }
-
-    #[test]
-    fn chunked_folds_match_scalar_reference() {
-        // Dirty the array with an irregular write pattern, then check
-        // the chunked row folds against the scalar per-unit references
-        // on every stripe and every failed-disk choice.
-        let mut s = ShadowArray::new(layout());
-        for stripe in 0..s.layout().stripes() {
-            if stripe % 3 == 0 {
-                s.write_data(stripe, (stripe % 4) as u32, stripe.wrapping_mul(0x9e37));
-            }
-        }
-        for stripe in 0..s.layout().stripes() {
-            assert_eq!(
-                s.compute_parity(stripe),
-                s.compute_parity_scalar(stripe),
-                "parity fold diverged on stripe {stripe}"
-            );
-            for disk in 0..s.layout().disks() {
-                assert_eq!(
-                    s.xor_survivors(stripe, disk),
-                    s.xor_survivors_scalar(stripe, disk),
-                    "survivor fold diverged on stripe {stripe}, disk {disk}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn xor_fold_matches_linear_fold_at_all_lengths() {
-        let mut words = Vec::new();
-        let mut x = 0x1234_5678_9abc_def0u64;
-        for len in 0..32 {
-            assert_eq!(
-                words.iter().fold(0, |a: u64, w| a ^ w),
-                xor_fold(&words),
-                "len {len}"
-            );
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            words.push(x);
         }
     }
 
