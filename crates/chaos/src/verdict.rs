@@ -351,7 +351,7 @@ mod tests {
         // One genuinely stale stripe, properly marked — then the crash
         // takes both the NVRAM and the disk.
         img.shadow.write_data(s, u, 0xabc);
-        img.marks.mark(s, 0, 1);
+        img.marks.mark(s);
         img.kill_nvram();
         img.kill_disk(f);
         let out = replay(&img);

@@ -453,7 +453,7 @@ mod tests {
         // AFRAID-style write to stripe 2, unit 1 (disk 3 holds parity
         // for stripe 1... compute from layout).
         shadow.write_data(2, 1, 0xabcd);
-        marks.mark(2, 0, 1);
+        marks.mark(2);
 
         let data_disk = l.data_disk(2, 1);
         let r = assess_loss(
@@ -493,7 +493,7 @@ mod tests {
         let mut marks = MarkingMemory::new(l.stripes(), MarkGranularity::STRIPE);
         let mut shadow = ShadowArray::new(l);
         shadow.write_data(4, 2, 7);
-        marks.mark(4, 0, 1);
+        marks.mark(4);
         let pd = l.parity_disk(4);
         let r = assess_loss(
             &l,
@@ -516,7 +516,7 @@ mod tests {
         let mut marks = MarkingMemory::new(l.stripes(), MarkGranularity::STRIPE);
         let mut shadow = ShadowArray::new(l);
         shadow.write_data(3, 0, 42);
-        marks.mark(3, 0, 1);
+        marks.mark(3);
         // Scrub.
         shadow.rebuild_parity(3);
         marks.clear(3);
@@ -601,7 +601,7 @@ mod tests {
         let l = layout();
         let mut marks = MarkingMemory::new(l.stripes(), MarkGranularity::STRIPE);
         for s in [1, 2, 3, 7] {
-            marks.mark(s, 0, 1);
+            marks.mark(s);
         }
         // Disk 0: parity for stripe 4 only (out of the dirty set none),
         // so it holds data units in all four dirty stripes.
@@ -715,7 +715,7 @@ mod tests {
     fn latent_error_on_dirty_stripe_not_double_counted() {
         let l = layout();
         let mut marks = MarkingMemory::new(l.stripes(), MarkGranularity::STRIPE);
-        marks.mark(2, 0, 1);
+        marks.mark(2);
         let bad_disk = l.data_disk(2, 1);
         let latent = LatentErrors::with_errors(5, &[(bad_disk, l.stripe_lba(2), SimTime::ZERO)]);
         let failed = l.data_disk(2, 0);

@@ -101,7 +101,7 @@ proptest! {
         for (mark, frac) in ops {
             let s = ((stripes - 1) as f64 * frac) as u64;
             if mark {
-                m.mark(s, 0, 1);
+                m.mark(s);
             } else {
                 m.clear(s);
             }

@@ -34,5 +34,5 @@ pub mod matrix;
 pub mod pool;
 
 pub use cache::{CacheKey, CacheStats, CellCache, KeyBuilder};
-pub use matrix::{cell_rng, cell_seed, generate_traces, run_matrix, CellKey};
+pub use matrix::{cell_seed, generate_traces, run_matrix, CellKey};
 pub use pool::{default_jobs, map_parallel};

@@ -35,11 +35,6 @@ pub fn cell_seed(base: u64, trace: usize, policy: usize) -> u64 {
     SplitMix64::new(lane).next_u64()
 }
 
-/// A ready-to-use RNG forked for one cell; see [`cell_seed`].
-pub fn cell_rng(base: u64, trace: usize, policy: usize) -> SplitMix64 {
-    SplitMix64::new(cell_seed(base, trace, policy))
-}
-
 /// Generates one trace per workload, in parallel, and wraps each in an
 /// `Arc` so every policy cell of a row shares the same trace instead
 /// of regenerating it. Generation itself is deterministic per
@@ -117,11 +112,11 @@ mod tests {
     #[test]
     fn cell_rng_streams_are_decorrelated() {
         let a: Vec<u64> = {
-            let mut r = cell_rng(42, 0, 0);
+            let mut r = SplitMix64::new(cell_seed(42, 0, 0));
             (0..8).map(|_| r.next_u64()).collect()
         };
         let b: Vec<u64> = {
-            let mut r = cell_rng(42, 0, 1);
+            let mut r = SplitMix64::new(cell_seed(42, 0, 1));
             (0..8).map(|_| r.next_u64()).collect()
         };
         assert_ne!(a, b);
@@ -166,7 +161,7 @@ mod tests {
         // A cell function that uses the per-cell RNG: still identical
         // across job counts because the seed depends only on the key.
         let run = |_t: &Trace, &p: &u64, key: CellKey| {
-            let mut rng = cell_rng(42, key.trace, key.policy);
+            let mut rng = SplitMix64::new(cell_seed(42, key.trace, key.policy));
             (0..100).map(|_| rng.next_u64() % p.max(1)).sum::<u64>()
         };
         let seq = run_matrix(1, &traces, &policies, run);

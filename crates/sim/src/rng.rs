@@ -88,16 +88,6 @@ impl SplitMix64 {
         assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
         self.next_f64() < p
     }
-
-    /// Picks a uniformly random element of `items`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `items` is empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        assert!(!items.is_empty(), "cannot choose from empty slice");
-        &items[self.next_below(items.len() as u64) as usize]
-    }
 }
 
 #[cfg(test)]
@@ -182,16 +172,5 @@ mod tests {
     #[should_panic(expected = "bound must be positive")]
     fn next_below_zero_panics() {
         SplitMix64::new(0).next_below(0);
-    }
-
-    #[test]
-    fn choose_covers_all_items() {
-        let mut r = SplitMix64::new(11);
-        let items = ["a", "b", "c"];
-        let mut seen = std::collections::BTreeSet::new();
-        for _ in 0..100 {
-            seen.insert(*r.choose(&items));
-        }
-        assert_eq!(seen.len(), 3);
     }
 }

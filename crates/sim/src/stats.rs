@@ -96,26 +96,6 @@ impl OnlineStats {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Merges another accumulator into this one (Chan's parallel update).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Time-weighted accumulator for a step function of simulated time.
@@ -321,26 +301,6 @@ impl Histogram {
         }
         self.max
     }
-
-    /// Merges another histogram with identical layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layouts differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert!(
-            self.min == other.min
-                && self.max == other.max
-                && self.buckets.len() == other.buckets.len(),
-            "histogram layouts differ"
-        );
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.total += other.total;
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-    }
 }
 
 /// Geometric mean of strictly positive values.
@@ -387,41 +347,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    fn online_stats_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() + 2.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.record(x);
-        }
-        for &x in &xs[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-12);
-        assert!((a.variance() - whole.variance()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn online_stats_merge_with_empty() {
-        let mut a = OnlineStats::new();
-        a.record(5.0);
-        let before = a.clone();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.mean(), before.mean());
-
-        let mut e = OnlineStats::new();
-        e.merge(&a);
-        assert_eq!(e.mean(), 5.0);
-        assert_eq!(e.count(), 1);
     }
 
     #[test]
@@ -494,24 +419,6 @@ mod tests {
     fn histogram_empty_quantile_zero() {
         let h = Histogram::for_latency_ms();
         assert_eq!(h.quantile(0.5), 0.0);
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new(1.0, 100.0, 10);
-        let mut b = Histogram::new(1.0, 100.0, 10);
-        a.record(2.0);
-        b.record(50.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "histogram layouts differ")]
-    fn histogram_merge_layout_mismatch() {
-        let mut a = Histogram::new(1.0, 100.0, 10);
-        let b = Histogram::new(1.0, 100.0, 20);
-        a.merge(&b);
     }
 
     #[test]

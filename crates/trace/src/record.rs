@@ -117,21 +117,6 @@ impl Trace {
     pub fn total_bytes(&self) -> u64 {
         self.records.iter().map(|r| r.bytes).sum()
     }
-
-    /// Returns a copy truncated to requests arriving before `cutoff`.
-    /// Used to run shortened experiments from one generated trace.
-    pub fn truncated(&self, cutoff: SimTime) -> Trace {
-        Trace {
-            name: self.name.clone(),
-            capacity: self.capacity,
-            records: self
-                .records
-                .iter()
-                .copied()
-                .take_while(|r| r.time < cutoff)
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -204,17 +189,5 @@ mod tests {
     fn rejects_overflow() {
         let mut t = Trace::new("t", 1024);
         t.push(rec(1, 512, 1024, ReqKind::Read));
-    }
-
-    #[test]
-    fn truncated_keeps_prefix() {
-        let mut t = Trace::new("t", 1 << 20);
-        for ms in 1..=10 {
-            t.push(rec(ms, 0, 512, ReqKind::Read));
-        }
-        let cut = t.truncated(SimTime::from_millis(5));
-        assert_eq!(cut.len(), 4);
-        assert_eq!(cut.name, "t");
-        assert_eq!(cut.capacity, t.capacity);
     }
 }

@@ -318,11 +318,6 @@ impl WorkloadSpec {
         self.sizes.iter().map(|&(v, w)| v * w).sum::<f64>() / total
     }
 
-    /// Estimated long-run data rate (bytes per second).
-    pub fn offered_bytes_per_sec(&self) -> f64 {
-        self.offered_ios_per_sec() * self.mean_request_bytes()
-    }
-
     /// Generates a trace against `capacity` bytes lasting `duration`.
     pub fn generate(&self, capacity: u64, duration: SimDuration, seed: u64) -> Trace {
         let mut rng = SplitMix64::new(seed ^ fxhash(self.name));
@@ -389,7 +384,10 @@ mod tests {
         // bursty and light; att, cello-news, netware and as400-1 run
         // the array hardest (att in IOPS, netware in bytes).
         let rate = |k| WorkloadSpec::preset(k).offered_ios_per_sec();
-        let bytes = |k| WorkloadSpec::preset(k).offered_bytes_per_sec();
+        let bytes = |k| {
+            let spec = WorkloadSpec::preset(k);
+            spec.offered_ios_per_sec() * spec.mean_request_bytes()
+        };
         for heavy in [
             WorkloadKind::Att,
             WorkloadKind::CelloNews,

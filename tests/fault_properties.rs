@@ -182,7 +182,7 @@ proptest! {
         let layout = Layout::new(5, 8192, 1600);
         let mut marks = MarkingMemory::new(layout.stripes(), MarkGranularity::STRIPE);
         for &s in &dirty {
-            marks.mark(s, 0, 0);
+            marks.mark(s);
         }
         let errs: Vec<(u32, u64, SimTime)> = errors
             .iter()
