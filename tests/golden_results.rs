@@ -7,8 +7,11 @@
 //! alone, and silent with transient faults up to an eviction; an NVRAM
 //! failure under RAID 5 drives the reconstruct-write of marked
 //! stripes, and a degraded run over a never-protected region under
-//! corruption drives the dead-disk pass. One chaos cut verdict adds
-//! crash recovery. A deliberate result
+//! corruption drives the dead-disk pass. Four cells pin the loss
+//! report itself: a fail-stop latent loss, a disk lost during the
+//! NVRAM sweep with and without the shadow model, and a fail-stop
+//! loss under corruption. One chaos cut verdict adds crash recovery.
+//! A deliberate result
 //! change bumps its schema tag (`tests/golden_schema.rs`) and copies
 //! the live output, which a failing cell writes under the target
 //! directory, over the golden file.
@@ -47,7 +50,7 @@ fn pretty(value: &impl serde::Serialize) -> String {
 }
 
 /// `(cell, afraid-cli run flags)`.
-const CLI_CELLS: [(&str, &str); 8] = [
+const CLI_CELLS: [(&str, &str); 12] = [
     // Multi-I/O bursts: RAID 5 read-modify-writes.
     ("raid5-bursts", "--workload cello-news --policy raid5 --secs 60"),
     // Idle-timer cancel and re-arm under AFRAID.
@@ -66,6 +69,17 @@ const CLI_CELLS: [(&str, &str); 8] = [
     ("corrupt-only", "--workload cello-news --secs 30 --corrupt 1e-2 --verify-reads"),
     // Silent and transient faults on the same disks, and one eviction.
     ("corrupt-transient-evict", "--workload netware --secs 30 --corrupt 1e-3 --verify-reads --transient 1e-3:1e-4 --evict-threshold 0.5"),
+    // A fail-stop loss report with a latent sector error on a clean
+    // stripe.
+    ("failstop-latent", "--secs 30 --latent 50 --fail-disk 2@20"),
+    // A disk lost while the NVRAM sweep runs, without the shadow model:
+    // every suspect data unit on the dead disk is counted lost.
+    ("nvram-disk", "--workload att --secs 30 --fail-nvram 10 --fail-disk 2@12 --degraded --spare 5"),
+    // The same loss with the shadow model on: suspects whose XOR holds
+    // are resolved as intact, and a rotten one as corruption-lost.
+    ("nvram-disk-shadow", "--workload att --secs 30 --fail-nvram 10 --fail-disk 2@12 --corrupt 1e-2"),
+    // A fail-stop loss report under corruption with verification.
+    ("failstop-corrupt", "--workload att --secs 30 --corrupt 1e-2 --verify-reads --fail-disk 1@20"),
 ];
 
 #[test]
