@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::ArrayConfig;
 use crate::controller::{Controller, Ev};
-use crate::faults::{assess_loss, DataLossReport};
+use crate::faults::DataLossReport;
 use crate::metrics::RunMetrics;
 use crate::recovery::CrashImage;
 
@@ -100,10 +100,10 @@ impl<'a> TraceRun<'a> {
     fn new(cfg: &'a ArrayConfig, trace: &'a Trace, opts: &'a RunOptions) -> TraceRun<'a> {
         let mut c = Controller::new(cfg.clone());
         assert!(
-            trace.capacity <= c.layout().logical_capacity(),
+            trace.capacity <= c.view().layout.logical_capacity(),
             "trace capacity {} exceeds array capacity {}",
             trace.capacity,
-            c.layout().logical_capacity()
+            c.view().layout.logical_capacity()
         );
 
         if let Some((disk, at)) = opts.fail_disk {
@@ -173,8 +173,9 @@ impl<'a> TraceRun<'a> {
                 let fail_stop = !self.opts.continue_degraded;
                 self.lose_disk(disk, fail_stop, self.opts.spare_delay);
                 if fail_stop {
-                    // Mirror the old loop's `break`, which skipped the
-                    // end-of-iteration queue-peak update.
+                    // The queue peak is deliberately not updated on
+                    // this exit: doing so would change the serialized
+                    // `event_queue_peak` of every fail-stop run.
                     self.halted = true;
                     return false;
                 }
@@ -187,9 +188,10 @@ impl<'a> TraceRun<'a> {
                 // degraded, a spare arrives after the configured
                 // delay, and the rebuild restores it.
                 if !c.finalize_eviction(disk) {
-                    // A same-instant write re-armed the settle: mirror
-                    // the old loop's `continue`, which skipped the
-                    // end-of-iteration queue-peak update.
+                    // A same-instant write re-armed the settle. The
+                    // queue peak is deliberately not updated on this
+                    // exit either, so the serialized results of
+                    // eviction runs stay as recorded.
                     return true;
                 }
                 let delay = self
@@ -207,26 +209,18 @@ impl<'a> TraceRun<'a> {
 
     /// `disk` is gone, failed or evicted: assesses what it cost, with
     /// latent-error arrivals materialised up to now so the assessment
-    /// sees the true exposure. Unless the run stops here (`fail_stop`),
-    /// the array goes degraded and a spare is installed `spare` later,
-    /// if given.
+    /// sees the true exposure. A fail-stop run (`fail_stop`) only
+    /// assesses and ends here; otherwise the array goes degraded in the
+    /// same pass over the stripes, and a spare is installed `spare`
+    /// later, if given.
     fn lose_disk(&mut self, disk: u32, fail_stop: bool, spare: Option<SimDuration>) {
         let c = &mut self.c;
         c.sync_latent();
-        self.loss = Some(assess_loss(
-            c.layout(),
-            c.marks(),
-            c.shadow(),
-            &self.cfg.regions,
-            c.latent_errors(),
-            c.integrity_state(),
-            disk,
-            c.now,
-        ));
         if fail_stop {
+            self.loss = Some(c.view().assess(disk, c.now));
             return;
         }
-        c.enter_degraded(disk);
+        self.loss = Some(c.enter_degraded(disk));
         if let Some(delay) = spare {
             c.events.schedule(c.now + delay, Ev::SpareInstalled);
         }
@@ -253,7 +247,7 @@ impl<'a> TraceRun<'a> {
 
     fn finish(mut self) -> RunResult {
         let end = self.c.now.max(self.trace.end_time());
-        if let Some(counters) = self.c.integrity_state().map(|int| int.counters) {
+        if let Some(counters) = self.c.view().integrity.map(|int| int.counters) {
             self.c.metrics.run.integrity = counters;
         }
         RunResult {

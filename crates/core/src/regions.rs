@@ -65,7 +65,7 @@ pub struct RegionMap {
 
 impl RegionMap {
     /// An empty map: everything follows the array policy.
-    pub fn none() -> RegionMap {
+    pub const fn none() -> RegionMap {
         RegionMap {
             regions: Vec::new(),
         }

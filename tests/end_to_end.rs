@@ -204,8 +204,8 @@ fn deterministic_across_identical_runs() {
 #[test]
 fn shadow_model_stays_consistent_through_a_real_workload() {
     // Run with the shadow verifier on and a failure injection at the
-    // very end: assess_loss cross-checks every stripe's marks against
-    // the XOR arithmetic and panics on any divergence.
+    // very end: the loss assessment cross-checks every stripe's marks
+    // against the XOR arithmetic and panics on any divergence.
     let t = trace(WorkloadKind::CelloNews, 60);
     let mut cfg = ArrayConfig::paper_default(ParityPolicy::IdleOnly);
     cfg.shadow = true;
