@@ -44,7 +44,6 @@ use std::collections::BTreeSet;
 
 use afraid::faults::DataLossReport;
 use afraid::recovery::{CrashImage, RecoveryOutcome};
-use afraid::shadow::Reconstruction;
 use afraid_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -126,14 +125,15 @@ pub fn judge(
         .collect();
 
     // Ground truth: units on the dead disk whose reconstruction value
-    // (XOR of survivors) differs from what the disk really held.
+    // (XOR of survivors) differs from what the disk really held, which
+    // is exactly when the stripe's XOR identity is broken.
     let mut truly: BTreeSet<(u64, u32)> = BTreeSet::new();
     if let Some(f) = image.failed_disk {
         for stripe in 0..layout.stripes() {
             let Some(unit) = layout.data_unit(stripe, f) else {
                 continue; // parity loss is never data loss
             };
-            if image.shadow.reconstruct(stripe, f) == Reconstruction::Lost {
+            if !image.shadow.parity_consistent(stripe) {
                 // A dead unit whose XOR candidate checksums back to
                 // the client's intent was corrupt *on the platter* and
                 // healed by the reconstruction — better than what the

@@ -33,7 +33,7 @@ use crate::integrity::IntegrityState;
 use crate::layout::Layout;
 use crate::nvram::MarkingMemory;
 use crate::regions::{RegionMap, RegionMode};
-use crate::shadow::{Reconstruction, ShadowArray};
+use crate::shadow::ShadowArray;
 
 /// Bytes in one disk sector — the granularity of latent errors.
 pub const SECTOR_BYTES: u64 = 512;
@@ -345,15 +345,14 @@ impl ArrayView<'_> {
         };
         let mut stale = !fresh;
         if let Some(shadow) = self.shadow {
-            let lost = || shadow.reconstruct(stripe, dead) == Reconstruction::Lost;
+            let lost = !shadow.parity_consistent(stripe);
             if self.marks.has_failed() {
                 // A suspect mark means "unknown", not "stale": the XOR
                 // resolves it exactly, and there is nothing to check.
-                stale = stale && lost();
+                stale = stale && lost;
             } else if !corrupt {
                 // Live corruption breaks the XOR identity without a
                 // mark, so only a clean stripe is cross-checked.
-                let lost = lost();
                 #[expect(
                     clippy::panic,
                     reason = "ground-truth cross-check: marks that disagree with the XOR arithmetic mean the simulator is broken, and continuing would publish wrong loss numbers"

@@ -349,7 +349,13 @@ pub struct RunMetrics {
     pub host_queue_peak: usize,
     /// Host-requested parity points served.
     pub parity_points: u64,
-    /// Reads that failed on known-bad units in degraded mode.
+    /// Failed reads, counted for five causes: a degraded-mode read of
+    /// a known-bad (scarred) unit on the dead disk, failed fast; a
+    /// verified client read whose corruption is declared; a
+    /// reconstruct read that a survivor's exhausted retries failed; an
+    /// exhausted read of a stripe with no redundancy to reconstruct
+    /// from; and a corruption a scrub tour declares, although no read
+    /// failed there.
     pub failed_reads: u64,
     /// Latent sector errors detected by scrub tours.
     pub latent_detected: u64,

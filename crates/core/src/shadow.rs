@@ -14,8 +14,17 @@
 //! * reconstruction after a disk failure XORs the surviving words.
 //!
 //! A unit survives a disk failure iff reconstruction reproduces its
-//! word — which is true exactly when the stripe's parity is
-//! consistent. Property tests in `faults` rely on this model.
+//! word. The survivors XOR to the lost word exactly when the whole
+//! row XORs to zero, so [`ShadowArray::parity_consistent`] is the one
+//! question every caller asks. Property tests in `faults` rely on this
+//! model.
+//!
+//! Each word is stored as its XOR *delta* from the unit's content in a
+//! freshly initialised array (a seed word per data unit, their XOR on
+//! the parity unit). A fresh array is therefore all zeros, and because
+//! every initial row XORs to zero, the XOR identity, scrubs and
+//! reconstructions work on the deltas alone; only the calls that hand
+//! out or take in a whole word pay for its seed.
 
 use std::collections::BTreeSet;
 
@@ -25,123 +34,102 @@ use crate::layout::Layout;
 #[derive(Clone, Debug)]
 pub struct ShadowArray {
     layout: Layout,
-    /// `words[stripe * disks + disk]`: the content of the stripe unit
-    /// stored on `disk` in `stripe` (data or parity alike).
-    words: Vec<u64>,
-}
-
-/// Outcome of attempting to reconstruct one unit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Reconstruction {
-    /// The XOR of the survivors equals the lost word.
-    Recovered,
-    /// Reconstruction would return garbage (stale parity).
-    Lost,
+    /// `deltas[stripe * disks + disk]`: the content of the stripe unit
+    /// stored on `disk` in `stripe` (data or parity alike), XORed with
+    /// that unit's initial content.
+    deltas: Vec<u64>,
 }
 
 impl ShadowArray {
     /// Creates a shadow array with deterministic initial contents and
     /// consistent parity everywhere (a freshly initialised array).
     pub fn new(layout: Layout) -> ShadowArray {
-        let disks = layout.disks();
-        let mut words = vec![0u64; (layout.stripes() * u64::from(disks)) as usize];
-        for stripe in 0..layout.stripes() {
-            let mut parity = 0u64;
-            for unit in 0..layout.data_units() {
-                let disk = layout.data_disk(stripe, unit);
-                let w = seed_word(stripe, unit);
-                words[(stripe * u64::from(disks) + u64::from(disk)) as usize] = w;
-                parity ^= w;
-            }
-            let pd = layout.parity_disk(stripe);
-            words[(stripe * u64::from(disks) + u64::from(pd)) as usize] = parity;
+        let units = layout.stripes() * u64::from(layout.disks());
+        ShadowArray {
+            layout,
+            deltas: vec![0; units as usize],
         }
-        ShadowArray { layout, words }
     }
 
     fn idx(&self, stripe: u64, disk: u32) -> usize {
         (stripe * u64::from(self.layout.disks()) + u64::from(disk)) as usize
     }
 
-    /// The stripe's contiguous row of unit words, one per disk (data
+    /// The stripe's contiguous row of unit deltas, one per disk (data
     /// and parity alike). The hot XOR folds run over this slice.
     fn row(&self, stripe: u64) -> &[u64] {
         let disks = self.layout.disks() as usize;
         let start = stripe as usize * disks;
-        &self.words[start..start + disks]
+        &self.deltas[start..start + disks]
     }
 
     /// XOR of *every* unit in the stripe — data and parity. Zero iff
-    /// the stripe's XOR identity holds. One fold over the contiguous
-    /// row; per-unit results derive from it by XORing the excluded
-    /// word back out.
+    /// the stripe's XOR identity holds. The initial contents of a row
+    /// XOR to zero, so one fold over the deltas gives it; per-unit
+    /// results derive from it by XORing the excluded word back out.
     fn row_xor(&self, stripe: u64) -> u64 {
-        self.row(stripe).iter().fold(0, |acc, w| acc ^ w)
+        self.row(stripe).iter().fold(0, |acc, d| acc ^ d)
+    }
+
+    /// The content of the unit on `disk` in `stripe` in a freshly
+    /// initialised array: its seed word for a data unit, the XOR of
+    /// the stripe's seed words for the parity unit.
+    fn initial(&self, stripe: u64, disk: u32) -> u64 {
+        match self.layout.data_unit(stripe, disk) {
+            Some(unit) => seed_word(stripe, unit),
+            None => (0..self.layout.data_units()).fold(0, |acc, u| acc ^ seed_word(stripe, u)),
+        }
     }
 
     /// The content word of the unit on `disk` in `stripe`.
     pub fn word(&self, stripe: u64, disk: u32) -> u64 {
-        self.words[self.idx(stripe, disk)]
+        self.deltas[self.idx(stripe, disk)] ^ self.initial(stripe, disk)
     }
 
     /// The content word of data unit `unit` of `stripe`.
     pub fn data_word(&self, stripe: u64, unit: u32) -> u64 {
-        self.word(stripe, self.layout.data_disk(stripe, unit))
+        self.data_delta(stripe, unit) ^ seed_word(stripe, unit)
+    }
+
+    /// Data unit `unit` of `stripe` as its [`unit_delta`].
+    pub(crate) fn data_delta(&self, stripe: u64, unit: u32) -> u64 {
+        self.deltas[self.idx(stripe, self.layout.data_disk(stripe, unit))]
     }
 
     /// Overwrites data unit `unit` of `stripe`, returning the old word
     /// (needed by the RAID 5 incremental parity update).
     pub fn write_data(&mut self, stripe: u64, unit: u32, word: u64) -> u64 {
-        let disk = self.layout.data_disk(stripe, unit);
-        let i = self.idx(stripe, disk);
-        std::mem::replace(&mut self.words[i], word)
+        let seed = seed_word(stripe, unit);
+        let i = self.idx(stripe, self.layout.data_disk(stripe, unit));
+        std::mem::replace(&mut self.deltas[i], word ^ seed) ^ seed
     }
 
     /// Applies the RAID 5 incremental parity update:
     /// `P' = P ⊕ old ⊕ new`.
     pub fn update_parity_incremental(&mut self, stripe: u64, old: u64, new: u64) {
-        let pd = self.layout.parity_disk(stripe);
-        let i = self.idx(stripe, pd);
-        self.words[i] ^= old ^ new;
+        let i = self.idx(stripe, self.layout.parity_disk(stripe));
+        self.deltas[i] ^= old ^ new;
     }
 
-    /// Recomputes parity from the data units (the scrub operation).
+    /// Recomputes parity from the data units (the scrub operation):
+    /// folding the row's XOR into the parity delta zeroes the row.
     pub fn rebuild_parity(&mut self, stripe: u64) {
-        let parity = self.compute_parity(stripe);
-        let pd = self.layout.parity_disk(stripe);
-        let i = self.idx(stripe, pd);
-        self.words[i] = parity;
+        let row_xor = self.row_xor(stripe);
+        let i = self.idx(stripe, self.layout.parity_disk(stripe));
+        self.deltas[i] ^= row_xor;
     }
 
-    /// XOR of the stripe's data words.
-    ///
-    /// Computed as one fold over the stripe's contiguous row with the
-    /// parity word XORed back out — algebraically identical
-    /// to folding the data units through the rotation indirection, but
-    /// without the per-unit `data_disk` lookups.
+    /// XOR of the stripe's data words: the row's XOR with the parity
+    /// word XORed back out.
     pub fn compute_parity(&self, stripe: u64) -> u64 {
-        self.row_xor(stripe) ^ self.word(stripe, self.layout.parity_disk(stripe))
+        self.xor_survivors(stripe, self.layout.parity_disk(stripe))
     }
 
-    /// True if the stored parity equals the XOR of the data words.
+    /// True if the stripe's XOR identity holds: the stored parity
+    /// equals the XOR of the data words, so the survivors of any one
+    /// lost unit XOR back to its word.
     pub fn parity_consistent(&self, stripe: u64) -> bool {
-        self.word(stripe, self.layout.parity_disk(stripe)) == self.compute_parity(stripe)
-    }
-
-    /// Attempts to reconstruct the unit on `failed_disk` in `stripe`
-    /// from the survivors.
-    pub fn reconstruct(&self, stripe: u64, failed_disk: u32) -> Reconstruction {
-        let mut xor = 0u64;
-        for disk in 0..self.layout.disks() {
-            if disk != failed_disk {
-                xor ^= self.word(stripe, disk);
-            }
-        }
-        if xor == self.word(stripe, failed_disk) {
-            Reconstruction::Recovered
-        } else {
-            Reconstruction::Lost
-        }
+        self.row_xor(stripe) == 0
     }
 
     /// XOR of every unit in the stripe except the one on
@@ -154,9 +142,10 @@ impl ShadowArray {
     /// Overwrites the unit on `disk` in `stripe` with the XOR of the
     /// survivors — the word a reconstruction stores — and returns it.
     pub fn rebuild_unit(&mut self, stripe: u64, disk: u32) -> u64 {
-        let word = self.xor_survivors(stripe, disk);
-        self.set_word(stripe, disk, word);
-        word
+        let row_xor = self.row_xor(stripe);
+        let i = self.idx(stripe, disk);
+        self.deltas[i] ^= row_xor;
+        self.word(stripe, disk)
     }
 
     /// The array layout.
@@ -172,7 +161,7 @@ impl ShadowArray {
     /// reconstructed words back.
     pub fn set_word(&mut self, stripe: u64, disk: u32, word: u64) {
         let i = self.idx(stripe, disk);
-        self.words[i] = word;
+        self.deltas[i] = word ^ self.initial(stripe, disk);
     }
 
     /// Byte-check for crash recovery: the first *data* unit whose word
@@ -181,6 +170,8 @@ impl ShadowArray {
     /// data unit outside `skip` is byte-identical — parity words are
     /// deliberately not compared, because a recovery sweep rewrites
     /// stale parity; [`ShadowArray::parity_consistent`] judges those.
+    /// Both arrays share the initial contents, so equal deltas are
+    /// equal words.
     ///
     /// # Panics
     ///
@@ -191,8 +182,8 @@ impl ShadowArray {
         skip: &BTreeSet<(u64, u32)>,
     ) -> Option<(u64, u32)> {
         assert_eq!(
-            self.words.len(),
-            other.words.len(),
+            self.deltas.len(),
+            other.deltas.len(),
             "shadow layout mismatch"
         );
         for stripe in 0..self.layout.stripes() {
@@ -205,31 +196,20 @@ impl ShadowArray {
                 if skip.contains(&(stripe, unit)) {
                     continue;
                 }
-                if self.data_word(stripe, unit) != other.data_word(stripe, unit) {
+                if self.data_delta(stripe, unit) != other.data_delta(stripe, unit) {
                     return Some((stripe, unit));
                 }
             }
         }
         None
     }
+}
 
-    /// Verifies that a latent-error repair of `disk`'s unit in
-    /// `stripe` would regenerate real content: the stripe's XOR
-    /// identity must hold, i.e. reconstruction from the survivors
-    /// yields exactly what the disk holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stripe is inconsistent — repairing from stale
-    /// parity would overwrite client data with garbage, so a scrubber
-    /// that gets here has violated its clean-stripes-only rule.
-    pub fn check_scrub_repair(&self, stripe: u64, disk: u32) {
-        assert!(
-            self.reconstruct(stripe, disk) == Reconstruction::Recovered,
-            "scrub repair on inconsistent stripe {stripe} (disk {disk}): \
-             parity is stale, reconstruction would write garbage"
-        );
-    }
+/// `word` stored in data unit `unit` of `stripe`, as the delta from
+/// the unit's initial content that the shadow keeps; the integrity
+/// tags keep intents in the same form.
+pub(crate) fn unit_delta(stripe: u64, unit: u32, word: u64) -> u64 {
+    word ^ seed_word(stripe, unit)
 }
 
 /// Deterministic initial content for a data unit.
@@ -247,11 +227,121 @@ pub fn version_word(stripe: u64, unit: u32, version: u64) -> u64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn layout() -> Layout {
         Layout::new(5, 8192, 160)
+    }
+
+    /// The reference model: every unit's full content word, filled
+    /// with a hash per unit at construction, and every question asked
+    /// of the words themselves. [`ShadowArray`] must answer exactly as
+    /// it does; `integrity::tests` drives the two side by side.
+    #[derive(Clone, Debug)]
+    pub(crate) struct FullWords {
+        layout: Layout,
+        words: Vec<u64>,
+    }
+
+    impl FullWords {
+        pub(crate) fn new(layout: Layout) -> FullWords {
+            let units = layout.stripes() * u64::from(layout.disks());
+            let mut r = FullWords {
+                layout,
+                words: vec![0; units as usize],
+            };
+            for stripe in 0..layout.stripes() {
+                for unit in 0..layout.data_units() {
+                    r.write_data(stripe, unit, seed_word(stripe, unit));
+                }
+                r.rebuild_parity(stripe);
+            }
+            r
+        }
+
+        fn idx(&self, stripe: u64, disk: u32) -> usize {
+            (stripe * u64::from(self.layout.disks()) + u64::from(disk)) as usize
+        }
+
+        pub(crate) fn word(&self, stripe: u64, disk: u32) -> u64 {
+            self.words[self.idx(stripe, disk)]
+        }
+
+        pub(crate) fn data_word(&self, stripe: u64, unit: u32) -> u64 {
+            self.word(stripe, self.layout.data_disk(stripe, unit))
+        }
+
+        pub(crate) fn write_data(&mut self, stripe: u64, unit: u32, word: u64) -> u64 {
+            let i = self.idx(stripe, self.layout.data_disk(stripe, unit));
+            std::mem::replace(&mut self.words[i], word)
+        }
+
+        pub(crate) fn update_parity_incremental(&mut self, stripe: u64, old: u64, new: u64) {
+            let i = self.idx(stripe, self.layout.parity_disk(stripe));
+            self.words[i] ^= old ^ new;
+        }
+
+        pub(crate) fn compute_parity(&self, stripe: u64) -> u64 {
+            (0..self.layout.data_units()).fold(0, |acc, u| acc ^ self.data_word(stripe, u))
+        }
+
+        pub(crate) fn rebuild_parity(&mut self, stripe: u64) {
+            let parity = self.compute_parity(stripe);
+            self.set_word(stripe, self.layout.parity_disk(stripe), parity);
+        }
+
+        pub(crate) fn parity_consistent(&self, stripe: u64) -> bool {
+            self.word(stripe, self.layout.parity_disk(stripe)) == self.compute_parity(stripe)
+        }
+
+        pub(crate) fn xor_survivors(&self, stripe: u64, failed_disk: u32) -> u64 {
+            (0..self.layout.disks())
+                .filter(|&d| d != failed_disk)
+                .fold(0, |acc, d| acc ^ self.word(stripe, d))
+        }
+
+        /// The question the full-word model asked per lost unit: do
+        /// the survivors XOR back to its word?
+        pub(crate) fn reconstructs(&self, stripe: u64, failed_disk: u32) -> bool {
+            self.xor_survivors(stripe, failed_disk) == self.word(stripe, failed_disk)
+        }
+
+        pub(crate) fn rebuild_unit(&mut self, stripe: u64, disk: u32) -> u64 {
+            let word = self.xor_survivors(stripe, disk);
+            self.set_word(stripe, disk, word);
+            word
+        }
+
+        pub(crate) fn set_word(&mut self, stripe: u64, disk: u32, word: u64) {
+            let i = self.idx(stripe, disk);
+            self.words[i] = word;
+        }
+
+        pub(crate) fn data_divergence(
+            &self,
+            other: &FullWords,
+            skip: &BTreeSet<(u64, u32)>,
+        ) -> Option<(u64, u32)> {
+            let l = self.layout;
+            (0..l.stripes())
+                .flat_map(|s| (0..l.data_units()).map(move |u| (s, u)))
+                .find(|&(s, u)| {
+                    !skip.contains(&(s, u)) && self.data_word(s, u) != other.data_word(s, u)
+                })
+        }
+    }
+
+    #[test]
+    fn fresh_array_is_all_zeros_and_holds_the_seed_content() {
+        let s = ShadowArray::new(layout());
+        let r = FullWords::new(layout());
+        assert!(s.deltas.iter().all(|&d| d == 0));
+        for stripe in 0..s.layout().stripes() {
+            for disk in 0..5 {
+                assert_eq!(s.word(stripe, disk), r.word(stripe, disk));
+            }
+        }
     }
 
     #[test]
@@ -267,7 +357,7 @@ mod tests {
         let s = ShadowArray::new(layout());
         for stripe in 0..s.layout().stripes() {
             for disk in 0..5 {
-                assert_eq!(s.reconstruct(stripe, disk), Reconstruction::Recovered);
+                assert_eq!(s.xor_survivors(stripe, disk), s.word(stripe, disk));
             }
         }
     }
@@ -280,7 +370,7 @@ mod tests {
         // Data on a *surviving* disk is unaffected; reconstruction of
         // the written unit's disk fails.
         let written_disk = s.layout().data_disk(3, 1);
-        assert_eq!(s.reconstruct(3, written_disk), Reconstruction::Lost);
+        assert_ne!(s.xor_survivors(3, written_disk), 0xdead_beef);
         // Other stripes untouched.
         assert!(s.parity_consistent(2));
     }
@@ -291,7 +381,7 @@ mod tests {
         let old = s.write_data(3, 1, 0x1234);
         s.update_parity_incremental(3, old, 0x1234);
         assert!(s.parity_consistent(3));
-        assert_eq!(s.reconstruct(3, 0), Reconstruction::Recovered);
+        assert_eq!(s.xor_survivors(3, 0), s.word(3, 0));
     }
 
     #[test]
@@ -304,7 +394,7 @@ mod tests {
         s.rebuild_parity(4);
         assert!(s.parity_consistent(4));
         for disk in 0..5 {
-            assert_eq!(s.reconstruct(4, disk), Reconstruction::Recovered);
+            assert_eq!(s.xor_survivors(4, disk), s.word(4, disk));
         }
     }
 
@@ -328,7 +418,7 @@ mod tests {
         let pd = s.layout().parity_disk(3);
         // Reconstructing the (stale) parity unit fails, but that's
         // parity, not data; the caller (faults module) distinguishes.
-        assert_eq!(s.reconstruct(3, pd), Reconstruction::Lost);
+        assert_ne!(s.xor_survivors(3, pd), s.word(3, pd));
         for unit in 0..4 {
             let d = s.layout().data_disk(3, unit);
             assert_ne!(d, pd);
