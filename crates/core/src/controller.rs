@@ -390,6 +390,9 @@ pub struct Controller {
     scratch_events: Vec<(SimTime, Ev)>,
     /// Per-disk extent accumulator reused by scrub batch planning.
     scrub_extents: Vec<Vec<(u64, u64)>>,
+    /// The stripe list of the last finished tour or rebuild batch,
+    /// kept for the next one (see [`Controller::pooled_stripes`]).
+    spare_stripes: Vec<u64>,
     /// Retired request shells whose vectors keep their capacity.
     req_pool: Vec<ActiveReq>,
 }
@@ -537,6 +540,7 @@ impl Controller {
             scratch_stripes: Vec::new(),
             scratch_events: Vec::new(),
             scrub_extents: Vec::new(),
+            spare_stripes: Vec::new(),
             req_pool: Vec::new(),
             cfg,
         }
@@ -1943,6 +1947,16 @@ impl Controller {
         });
     }
 
+    /// A batch stripe list holding `stripes`, in the vector the last
+    /// finished tour or rebuild batch handed back. A tour batch is
+    /// usually one stripe and there are millions of them per run.
+    fn pooled_stripes(&mut self, stripes: std::ops::Range<u64>) -> Vec<u64> {
+        let mut list = std::mem::take(&mut self.spare_stripes);
+        list.clear();
+        list.extend(stripes);
+        list
+    }
+
     /// One I/O of a `job` batch completed. The last read hands over to
     /// the job's write phase; the last write, or a write phase with
     /// nothing to write, finishes the batch.
@@ -2314,7 +2328,7 @@ impl Controller {
                 cause: IoCause::TourRead,
             });
         }
-        let batch = (first_stripe..first_stripe + stripes).collect();
+        let batch = self.pooled_stripes(first_stripe..first_stripe + stripes);
         self.begin_batch(Job::Tour, batch, &mut ios);
         self.scratch_ios = ios;
     }
@@ -2397,6 +2411,7 @@ impl Controller {
 
     fn finish_tour_batch(&mut self, tb: Batch) {
         let stripes = tb.stripes.len() as u64;
+        self.spare_stripes = tb.stripes;
         self.metrics.run.tour_sectors_read +=
             stripes * self.layout.unit_sectors() * u64::from(self.cfg.disks);
         let now = self.now;
@@ -2563,7 +2578,8 @@ impl Controller {
                 cause: IoCause::RebuildRead,
             });
         }
-        self.begin_batch(Job::Rebuild, (start..end).collect(), &mut ios);
+        let batch = self.pooled_stripes(start..end);
+        self.begin_batch(Job::Rebuild, batch, &mut ios);
         self.scratch_ios = ios;
         if let Some(rb) = self.rebuild_mut() {
             rb.stalled = false;
@@ -2606,6 +2622,7 @@ impl Controller {
                 }
             }
         }
+        self.spare_stripes = batch.stripes;
         self.restart_blocked();
         self.rebuild_next_batch();
     }

@@ -152,13 +152,18 @@ impl LatentErrors {
     /// (materialised, unrepaired) error whose onset is `<= at`.
     ///
     /// Call [`advance`](Self::advance) first to materialise arrivals.
-    pub fn active_in(&self, disk: u32, lba: u64, sectors: u64, at: SimTime) -> Vec<u64> {
+    pub fn active_in(
+        &self,
+        disk: u32,
+        lba: u64,
+        sectors: u64,
+        at: SimTime,
+    ) -> impl Iterator<Item = u64> + '_ {
         self.disks[disk as usize]
             .active
             .range(lba..lba + sectors)
-            .filter(|&(_, &onset)| onset <= at)
+            .filter(move |&(_, &onset)| onset <= at)
             .map(|(&s, _)| s)
-            .collect()
     }
 
     /// True if `disk` has an active error exactly at `sector`.
@@ -419,7 +424,7 @@ fn assess_latent_stripe(
         if disk == failed_disk {
             continue;
         }
-        let bad = latent.active_in(disk, lba, unit_sectors, at).len() as u64;
+        let bad = latent.active_in(disk, lba, unit_sectors, at).count() as u64;
         if bad == 0 {
             continue;
         }

@@ -215,10 +215,12 @@ impl TimeWeighted {
 /// under/overflow buckets at the ends, so the histogram never rejects a
 /// sample. Quantiles are estimated by linear interpolation within the
 /// containing bucket.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Histogram {
     min: f64,
     max: f64,
+    /// `ln(max / min)`, fixed at construction.
+    span: f64,
     buckets: Vec<u64>,
     total: u64,
     underflow: u64,
@@ -237,6 +239,7 @@ impl Histogram {
         Histogram {
             min,
             max,
+            span: (max / min).ln(),
             buckets: vec![0; n],
             total: 0,
             underflow: 0,
@@ -258,8 +261,7 @@ impl Histogram {
         } else if x >= self.max {
             self.overflow += 1;
         } else {
-            let span = (self.max / self.min).ln();
-            let pos = (x / self.min).ln() / span;
+            let pos = (x / self.min).ln() / self.span;
             let i = ((pos * self.buckets.len() as f64) as usize).min(self.buckets.len() - 1);
             self.buckets[i] += 1;
         }
@@ -287,7 +289,7 @@ impl Histogram {
         if target <= seen {
             return self.min;
         }
-        let span = (self.max / self.min).ln();
+        let span = self.span;
         let n = self.buckets.len() as f64;
         for (i, &c) in self.buckets.iter().enumerate() {
             if seen + c >= target {

@@ -4,6 +4,13 @@
 //! Nanosecond resolution comfortably resolves rotational positions (a
 //! 5400 RPM disk revolves once every 11.11 ms) while a `u64` still spans
 //! more than 580 simulated years — far beyond any trace replay.
+//!
+//! Conversions from floating point round to the nearest nanosecond,
+//! halves away from zero, with an integer routine that returns exactly
+//! what `f64::round` would. The build targets baseline x86-64, which
+//! has no SSE4.1 rounding instruction, so `f64::round` and
+//! `f64::floor` are calls into software routines; these conversions
+//! run once or more per simulated event.
 
 use core::fmt;
 use core::iter::Sum;
@@ -64,7 +71,7 @@ impl SimTime {
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid time: {s}");
-        SimTime((s * 1e9).round() as u64)
+        SimTime(round_to_u64(s * 1e9))
     }
 
     /// Raw nanoseconds since simulation start.
@@ -142,7 +149,7 @@ impl SimDuration {
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
-        SimDuration((s * 1e9).round() as u64)
+        SimDuration(round_to_u64(s * 1e9))
     }
 
     /// Creates a duration from fractional milliseconds.
@@ -200,8 +207,23 @@ impl SimDuration {
     #[inline]
     pub fn mul_f64(self, k: f64) -> SimDuration {
         assert!(k.is_finite() && k >= 0.0, "invalid scale: {k}");
-        SimDuration((self.0 as f64 * k).round() as u64)
+        SimDuration(round_to_u64(self.0 as f64 * k))
     }
+}
+
+/// `x.round() as u64` — nearest integer, halves away from zero,
+/// saturating at 0 and `u64::MAX`, NaN to 0 — without the software
+/// `round` routine.
+///
+/// Truncation gives `t`; below 2^53 both `t as f64` and the fraction
+/// `x - t as f64` are exact, so comparing the fraction with one half
+/// is exactly the rounding decision. From 2^53 every float is an
+/// integer and the fraction is zero. At or above 2^64 the cast
+/// saturates to `u64::MAX` and the increment must saturate with it.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
 }
 
 impl Add<SimDuration> for SimTime {
@@ -440,6 +462,72 @@ mod tests {
     #[should_panic(expected = "invalid duration")]
     fn negative_duration_rejected() {
         let _ = SimDuration::from_secs_f64(-1.0);
+    }
+
+    /// The integer rounding is `f64::round` followed by the saturating
+    /// cast, on every class of input: zero and subnormals, exact
+    /// halves and their neighbours up to 2^53, the integers from 2^53
+    /// to 2^64, and values past 2^64 that must saturate. Each value is
+    /// checked through the helper and through both `from_secs_f64`s.
+    #[test]
+    fn integer_rounding_equals_f64_round() {
+        let reference = |x: f64| x.round() as u64;
+        let mut xs = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE.next_down(),
+            f64::MIN_POSITIVE,
+            0.5,
+            0.5f64.next_down(),
+            0.5f64.next_up(),
+            1.5,
+            2.5,
+            f64::INFINITY,
+            f64::NAN,
+            -0.5,
+            -1.5,
+        ];
+        let mut rng = crate::rng::SplitMix64::new(0x0D0D_2026);
+        for bits in 0..53 {
+            let lo = 1u64 << bits;
+            for n in [lo - 1, lo, lo + 1, lo + rng.next_below(lo)] {
+                // n + 0.5 is exact below 2^52; above, the float is the
+                // nearest representable value and still a tie or an
+                // integer that `round` must leave alone.
+                let half = n as f64 + 0.5;
+                xs.extend([half, half.next_up(), half.next_down(), n as f64]);
+            }
+        }
+        for bits in 53..64 {
+            let lo = 1u64 << bits;
+            for n in [lo, lo + rng.next_below(lo), (lo - 1) | lo] {
+                let x = n as f64;
+                xs.extend([x, x.next_up(), x.next_down()]);
+            }
+        }
+        let two64 = 18_446_744_073_709_551_616.0f64;
+        xs.extend([
+            (u64::MAX as f64).next_down(),
+            two64.next_down(),
+            two64,
+            two64.next_up(),
+            two64 * 2.0,
+            f64::MAX,
+        ]);
+        for &x in &xs {
+            assert_eq!(round_to_u64(x), reference(x), "x = {x:e}");
+            for s in [x / 1e9, x] {
+                if !(s.is_finite() && s >= 0.0) {
+                    continue;
+                }
+                let want = reference(s * 1e9);
+                assert_eq!(SimDuration::from_secs_f64(s).as_nanos(), want, "s = {s:e}");
+                assert_eq!(SimTime::from_secs_f64(s).as_nanos(), want, "s = {s:e}");
+            }
+        }
+        assert_eq!(round_to_u64(two64.next_up()), u64::MAX);
+        assert_eq!(SimTime::from_secs_f64(1e300), SimTime::MAX);
     }
 
     #[test]
