@@ -386,8 +386,6 @@ pub struct Controller {
     scratch_slices: Vec<UnitSlice>,
     scratch_ios: Vec<PlannedIo>,
     scratch_stripes: Vec<u64>,
-    /// Completion-event accumulator reused by [`Controller::submit_batch`].
-    scratch_events: Vec<(SimTime, Ev)>,
     /// Per-disk extent accumulator reused by scrub batch planning.
     scrub_extents: Vec<Vec<(u64, u64)>>,
     /// The stripe list of the last finished tour or rebuild batch,
@@ -538,7 +536,6 @@ impl Controller {
             scratch_slices: Vec::new(),
             scratch_ios: Vec::new(),
             scratch_stripes: Vec::new(),
-            scratch_events: Vec::new(),
             scrub_extents: Vec::new(),
             spare_stripes: Vec::new(),
             req_pool: Vec::new(),
@@ -1561,30 +1558,23 @@ impl Controller {
         self.events.schedule(at, ev);
     }
 
-    /// Submits a burst of planned I/Os that share one completion event,
-    /// admitting every resulting completion into the event queue with
-    /// a single [`EventQueue::schedule_batch`] sort.
+    /// Submits a burst of planned I/Os that share one completion event.
     ///
     /// Drains `ios` (so callers can hand back a scratch buffer) and
-    /// processes them in order: disk submission, metrics, and flight
-    /// bookkeeping happen per I/O exactly as a loop of
-    /// [`Controller::submit`] calls would, and event sequence numbers
-    /// are assigned in the same order — batching is invisible to the
-    /// simulation result.
+    /// submits them in order, each completion scheduled as soon as it
+    /// is planned: a burst is a few events, and
+    /// [`EventQueue::schedule`]'s scan from the back places each one
+    /// more cheaply than a sort of the whole burst would.
     fn submit_batch(&mut self, ios: &mut Vec<PlannedIo>, ev: Ev) {
-        let mut batch = std::mem::take(&mut self.scratch_events);
         for io in ios.drain(..) {
-            let planned = self.submit_planned(io, ev);
-            batch.push(planned);
+            self.submit(io, ev);
         }
-        self.events.schedule_batch(batch.drain(..));
-        self.scratch_events = batch;
     }
 
     /// Plans the completion of one disk I/O without touching the event
     /// queue: submits to the disk, records metrics, opens a retry
     /// flight when the attempt drew a fault, and returns the `(time,
-    /// event)` pair the caller must schedule.
+    /// event)` pair that [`Controller::submit`] schedules.
     fn submit_planned(&mut self, io: PlannedIo, ev: Ev) -> (SimTime, Ev) {
         if self.disk(io.disk).is_failed() {
             // The controller knows the disk is dead: in-flight plans

@@ -6,16 +6,17 @@
 //! in scheduling order, which is what makes whole-simulation runs
 //! reproducible.
 //!
-//! [`EventQueue::schedule`] binary-searches its slot: a new event has
-//! the largest sequence number yet, so it lands just before its
-//! equal-time peers and only the entries due earlier shift.
-//! [`EventQueue::cancel`] removes the entry, shifting the entries due
-//! before it. The simulator's queue holds a mean of 3 to 11 events at
-//! each pop, most of them due soon, so a shift moves a handful.
-//! [`EventQueue::schedule_batch`] appends a burst and sorts it once
-//! with the entries due no later than its latest event; the controller
-//! uses it for multi-disk I/O bursts and the driver for commit-barrier
-//! timelines, where one insert per barrier would be quadratic.
+//! [`EventQueue::schedule`] finds its slot by scanning from the back:
+//! a new event has the largest sequence number yet, so it lands just
+//! before its equal-time peers, and the scan compares only the entries
+//! due earlier, which the insert shifts anyway. [`EventQueue::cancel`]
+//! removes the entry, shifting the entries due before it. The
+//! simulator's queue holds a mean of 3 to 11 events at each pop, most
+//! of them due soon, so a scan and a shift each touch a handful.
+//! [`EventQueue::schedule_batch`] appends many events and sorts them
+//! once with the entries due no later than their latest; the
+//! driver uses it for commit-barrier timelines, where one insert per
+//! barrier would shift every earlier barrier and be quadratic.
 
 #![deny(clippy::indexing_slicing)]
 
@@ -88,21 +89,30 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, time: SimTime, event: E) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let at = self.items.partition_point(|e| e.time > time);
+        // The entries due before the new one sit at the back; the scan
+        // stops at the first entry due after it.
+        let at = self
+            .items
+            .iter()
+            .rposition(|e| (e.time, e.seq) > (time, seq))
+            .map_or(0, |p| p + 1);
         self.shifted += (self.items.len() - at) as u64;
         self.items.insert(at, Entry { time, seq, event });
         self.debug_assert_ordered_around(at);
         EventId(seq)
     }
 
-    /// Schedules a burst of events with one sort.
+    /// Schedules many events with one sort.
     ///
     /// Sequence numbers are assigned in iteration order, so the
     /// delivered order is exactly what a loop of [`EventQueue::schedule`]
     /// calls would produce — batching is a cost optimisation, never a
-    /// semantic change. The burst is appended and sorted together with
-    /// the entries due no later than its latest event; entries due
-    /// after it stay where they are.
+    /// semantic change. The events are appended and sorted together
+    /// with the entries due no later than their latest; entries due
+    /// after it stay where they are. This pays for a long timeline,
+    /// where each event is the latest yet and a `schedule` loop would
+    /// shift every earlier one; a burst of a few events is cheaper
+    /// through `schedule`.
     pub fn schedule_batch<I>(&mut self, items: I)
     where
         I: IntoIterator<Item = (SimTime, E)>,
@@ -342,6 +352,19 @@ mod tests {
         assert_eq!(now, SimTime::from_millis(6));
     }
 
+    /// The seed of the random-program properties: `AFRAID_SEED`,
+    /// default `0xAF1D_0012`, so CI can rerun them at several seeds.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CI reruns these properties at several seeds"
+    )]
+    fn program_seed() -> u64 {
+        std::env::var("AFRAID_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0xAF1D_0012)
+    }
+
     /// Model check: a random 20k-op program of schedules, batches,
     /// cancels, peeks and pops, with clustered times so same-instant
     /// ties are common, behaves exactly like a naive list that always
@@ -353,7 +376,7 @@ mod tests {
         let mut q = EventQueue::new();
         let mut model: Vec<(u64, u64, i64)> = Vec::new();
         let mut ids: Vec<(EventId, u64)> = Vec::new();
-        let mut rng = SplitMix64::new(0xAF1D_0012);
+        let mut rng = SplitMix64::new(program_seed());
         let (mut seq, mut now) = (0u64, 0u64);
         for i in 0..20_000i64 {
             let time = |rng: &mut SplitMix64| now + (rng.next_u64() % 8) * 250;
@@ -399,6 +422,65 @@ mod tests {
             }
             assert_eq!(q.len(), model.len(), "op {i}");
         }
+    }
+
+    /// A burst scheduled one event at a time delivers exactly what
+    /// `schedule_batch` of the same burst delivers. Two queues share a
+    /// standing far-future population and a random program of bursts
+    /// (times drawn from a few instants, so ties with queued events and
+    /// within a burst are common), pops and cancels of single
+    /// schedules; one queue takes each burst through `schedule`, the
+    /// other through `schedule_batch`, and every pop must agree.
+    #[test]
+    fn schedule_loop_delivers_as_schedule_batch() {
+        use crate::rng::SplitMix64;
+
+        const FAR: u64 = 512;
+        const NEAR_DEPTH: usize = 32;
+        let far_at = |i: u64| SimTime::from_nanos((1 << 40) + i % 64);
+        let mut looped = EventQueue::new();
+        let mut batched = EventQueue::new();
+        looped.schedule_batch((1..=FAR).map(|i| (far_at(i), -(i as i64))));
+        batched.schedule_batch((1..=FAR).map(|i| (far_at(i), -(i as i64))));
+        let mut rng = SplitMix64::new(program_seed());
+        let mut timers: Vec<EventId> = Vec::new();
+        let mut now = 0u64;
+        for i in 0..20_000i64 {
+            let soon = |rng: &mut SplitMix64| SimTime::from_nanos(now + rng.next_below(6) * 1_000);
+            let mut pop = false;
+            match rng.next_u64() % 8 {
+                0..=3 => {
+                    let burst: Vec<(SimTime, i64)> = (0..rng.next_below(7))
+                        .map(|k| (soon(&mut rng), i * 8 + k as i64))
+                        .collect();
+                    for &(t, e) in &burst {
+                        looped.schedule(t, e);
+                    }
+                    batched.schedule_batch(burst);
+                }
+                4 => {
+                    let t = soon(&mut rng);
+                    let id = looped.schedule(t, i * 8);
+                    assert_eq!(batched.schedule(t, i * 8), id, "op {i}");
+                    timers.push(id);
+                }
+                5 if !timers.is_empty() => {
+                    let id = timers.swap_remove(rng.next_below(timers.len() as u64) as usize);
+                    assert_eq!(looped.cancel(id), batched.cancel(id), "op {i}");
+                }
+                _ => pop = true,
+            }
+            while pop || looped.len() > FAR as usize + NEAR_DEPTH {
+                pop = false;
+                let got = looped.pop();
+                assert_eq!(got, batched.pop(), "op {i}");
+                if let Some((t, _)) = got.filter(|&(_, e)| e >= 0) {
+                    now = t.as_nanos();
+                }
+            }
+            assert_eq!(looped.len(), batched.len(), "op {i}");
+        }
+        assert_eq!(drain(&mut looped), drain(&mut batched));
     }
 
     /// The cost-model regression test. A standing timeline of 65,536
