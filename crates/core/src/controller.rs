@@ -623,6 +623,17 @@ impl Controller {
             .any(|b| b.stripes.contains(&stripe))
     }
 
+    /// True if a background batch holds any stripe `rec` touches
+    /// ([`Self::stripe_locked`]).
+    fn range_locked(&mut self, rec: IoRecord) -> bool {
+        let mut slices = std::mem::take(&mut self.scratch_slices);
+        self.layout
+            .map_range_into(rec.offset, rec.bytes, &mut slices);
+        let locked = slices.iter().any(|s| self.stripe_locked(s.stripe));
+        self.scratch_slices = slices;
+        locked
+    }
+
     /// The batch slot of `job`.
     fn slot(&mut self, job: Job) -> &mut Option<Batch> {
         match job {
@@ -848,15 +859,10 @@ impl Controller {
 
     fn start_write(&mut self, rec: IoRecord) {
         let directives = self.evaluate_policy();
-        let mut slices = std::mem::take(&mut self.scratch_slices);
-        self.layout
-            .map_range_into(rec.offset, rec.bytes, &mut slices);
-
         // Block behind an in-flight parity rebuild (scrub or rebuild
-        // batch) of any touched stripe.
-        let locked = slices.iter().any(|s| self.stripe_locked(s.stripe));
-        self.scratch_slices = slices;
-        if locked {
+        // batch) of any touched stripe. With neither batch in flight no
+        // stripe is locked, and the range is mapped once, to issue it.
+        if (self.scrub.is_some() || self.rebuild_batch.is_some()) && self.range_locked(rec) {
             let shell = self.take_shell(rec, Phase::PreRead);
             let slot = self.alloc_slot(shell);
             self.blocked.push(slot);

@@ -69,7 +69,7 @@ pub struct UnitSlice {
 /// let a = l.locate(0);
 /// assert_eq!((a.stripe, a.disk), (0, 0));
 /// ```
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Layout {
     disks: u32,
     /// Sectors per stripe unit.

@@ -16,9 +16,19 @@
 //! the paper's MDLR equation — is read from this memory: each marked
 //! row stands for `1/M` of every data unit of its stripe, so the lag
 //! is [`MarkingMemory::dirty_rows`] times the data bytes of one row.
+//!
+//! The marked stripes are indexed by the bitmap the paper describes, a
+//! [`StripeSet`]: one bit per stripe, plus one summary bit per 64-bit
+//! word of it, so the scrubber's sweep and power-on recovery skip
+//! clean regions a word (64 stripes) or a summary word (4,096 stripes)
+//! at a time, even at the paper array's 256 K stripes. Marking and
+//! clearing are bit flips, and an NVRAM failure is a flat fill. The
+//! index is an implementation structure: [`MarkingMemory::memory_bytes`]
+//! prices the `M` bits per stripe alone, as before. At `M = 1` the
+//! bitmap is the whole memory, a stripe's mask its bit; the per-stripe
+//! row masks are kept only at `M > 1`.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Number of marking bits per stripe.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -45,6 +55,159 @@ impl MarkGranularity {
     }
 }
 
+/// A set of stripes as a bitmap: one bit per stripe, plus one summary
+/// bit per 64-bit word of bits, set exactly when that word is non-zero.
+/// Iteration runs in stripe order and skips empty words through the
+/// summary, so it costs what the set holds, not what the array spans.
+///
+/// # Examples
+///
+/// ```
+/// use afraid::nvram::StripeSet;
+///
+/// let mut set = StripeSet::new(5000);
+/// set.insert(4097);
+/// set.insert(3);
+/// assert_eq!(set.iter().collect::<Vec<_>>(), vec![3, 4097]);
+/// assert_eq!(set.iter_from(4).collect::<Vec<_>>(), vec![4097]);
+/// set.remove(3);
+/// assert_eq!(set.len(), 1);
+/// ```
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StripeSet {
+    /// Bit `s % 64` of word `s / 64` is set iff stripe `s` is present.
+    bits: Vec<u64>,
+    /// Bit `w % 64` of word `w / 64` is set iff `bits[w]` is non-zero.
+    summary: Vec<u64>,
+    /// Stripes present.
+    len: u64,
+    /// Stripes the set spans.
+    stripes: u64,
+}
+
+impl StripeSet {
+    /// An empty set over `stripes` stripes.
+    pub fn new(stripes: u64) -> StripeSet {
+        let words = stripes.div_ceil(64);
+        StripeSet {
+            bits: vec![0; words as usize],
+            summary: vec![0; words.div_ceil(64) as usize],
+            len: 0,
+            stripes,
+        }
+    }
+
+    /// Number of stripes present.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Stripes the set spans.
+    pub fn span(&self) -> u64 {
+        self.stripes
+    }
+
+    /// True if no stripe is present.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// True if `stripe` is present; a stripe beyond the span never is.
+    pub fn contains(&self, stripe: u64) -> bool {
+        self.bits
+            .get((stripe / 64) as usize)
+            .is_some_and(|word| word & (1 << (stripe % 64)) != 0)
+    }
+
+    /// Adds `stripe`; adding a present stripe does nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stripe` is beyond the set's span.
+    pub fn insert(&mut self, stripe: u64) {
+        assert!(stripe < self.stripes, "stripe {stripe} out of range");
+        let w = (stripe / 64) as usize;
+        let bit = 1 << (stripe % 64);
+        if self.bits[w] & bit == 0 {
+            self.bits[w] |= bit;
+            self.summary[w / 64] |= 1 << (w % 64);
+            self.len += 1;
+        }
+    }
+
+    /// Removes `stripe`; removing an absent stripe does nothing.
+    pub fn remove(&mut self, stripe: u64) {
+        if !self.contains(stripe) {
+            return;
+        }
+        let w = (stripe / 64) as usize;
+        self.bits[w] &= !(1 << (stripe % 64));
+        if self.bits[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+        self.len -= 1;
+    }
+
+    /// Adds every stripe of the span.
+    pub fn fill(&mut self) {
+        fill_bits(&mut self.bits, self.stripes);
+        fill_bits(&mut self.summary, self.bits.len() as u64);
+        self.len = self.stripes;
+    }
+
+    /// The present stripes, in stripe order.
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.iter_from(0)
+    }
+
+    /// The present stripes at or after `from`, in stripe order.
+    pub fn iter_from(&self, from: u64) -> impl Iterator<Item = u64> + '_ {
+        let mut next = from;
+        std::iter::from_fn(move || {
+            let stripe = self.first_from(next)?;
+            next = stripe + 1;
+            Some(stripe)
+        })
+    }
+
+    /// The lowest present stripe at or after `from`.
+    fn first_from(&self, from: u64) -> Option<u64> {
+        let w = (from / 64) as usize;
+        let word = self.bits.get(w)? & (u64::MAX << (from % 64));
+        if word != 0 {
+            return Some(w as u64 * 64 + u64::from(word.trailing_zeros()));
+        }
+        // The summary names the next non-empty word outright.
+        let w = self.first_word_from(w + 1)?;
+        let word = self.bits[w];
+        debug_assert_ne!(word, 0, "summary bit {w} over an empty word");
+        Some(w as u64 * 64 + u64::from(word.trailing_zeros()))
+    }
+
+    /// The lowest index at or after `from` of a non-empty word of bits.
+    fn first_word_from(&self, from: usize) -> Option<usize> {
+        let mut s = from / 64;
+        let mut word = self.summary.get(s)? & (u64::MAX << (from % 64));
+        while word == 0 {
+            s += 1;
+            word = *self.summary.get(s)?;
+        }
+        Some(s * 64 + word.trailing_zeros() as usize)
+    }
+}
+
+/// Sets the low `n` bits of `words` and clears the rest.
+fn fill_bits(words: &mut [u64], n: u64) {
+    for (i, word) in words.iter_mut().enumerate() {
+        let below = n.saturating_sub(i as u64 * 64);
+        *word = if below >= 64 {
+            u64::MAX
+        } else {
+            (1 << below) - 1
+        };
+    }
+}
+
 /// The dirty-stripe bitmap.
 ///
 /// # Examples
@@ -59,17 +222,16 @@ impl MarkGranularity {
 /// m.clear(7);
 /// assert!(!m.is_marked(7));
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MarkingMemory {
-    /// Per-stripe row masks; non-zero = stripe unredundant.
+    /// Per-stripe row masks at `M > 1`; non-zero = stripe unredundant.
+    /// Empty at `M = 1`, where a stripe's mask is its bit in `marked`.
     rows: Vec<u64>,
     granularity: MarkGranularity,
     /// Set bits across all masks.
     dirty_rows: u64,
-    /// Ordered index of dirty stripes, so the scrubber's sweep is
-    /// O(log n) rather than a scan (an implementation index, not part
-    /// of the modelled NVRAM cost).
-    dirty_set: BTreeSet<u64>,
+    /// The stripes with a non-zero mask, as the paper's bitmap.
+    marked: StripeSet,
     /// True after a simulated NVRAM failure: contents untrusted.
     failed: bool,
 }
@@ -78,10 +240,14 @@ impl MarkingMemory {
     /// Creates a clean marking memory for `stripes` stripes.
     pub fn new(stripes: u64, granularity: MarkGranularity) -> MarkingMemory {
         MarkingMemory {
-            rows: vec![0; stripes as usize],
+            rows: if granularity == MarkGranularity::STRIPE {
+                Vec::new()
+            } else {
+                vec![0; stripes as usize]
+            },
             granularity,
             dirty_rows: 0,
-            dirty_set: BTreeSet::new(),
+            marked: StripeSet::new(stripes),
             failed: false,
         }
     }
@@ -93,7 +259,7 @@ impl MarkingMemory {
 
     /// Number of stripes tracked.
     pub fn stripes(&self) -> u64 {
-        self.rows.len() as u64
+        self.marked.span()
     }
 
     /// NVRAM cost in bytes: `stripes * M` bits, rounded up. The paper's
@@ -135,18 +301,23 @@ impl MarkingMemory {
 
     /// Marks `stripe` entirely (all rows).
     pub fn mark(&mut self, stripe: u64) {
-        let m = self.granularity.bits();
-        let mask = if m == 64 { u64::MAX } else { (1u64 << m) - 1 };
-        self.mark_mask(stripe, mask);
+        self.mark_mask(stripe, self.full_mask());
+    }
+
+    /// Every row of a stripe.
+    fn full_mask(&self) -> u64 {
+        u64::MAX >> (64 - self.granularity.bits())
     }
 
     fn mark_mask(&mut self, stripe: u64, mask: u64) {
-        let slot = &mut self.rows[stripe as usize];
-        if *slot == 0 && mask != 0 {
-            self.dirty_set.insert(stripe);
+        let old = self.row_mask(stripe);
+        if old == 0 && mask != 0 {
+            self.marked.insert(stripe);
         }
-        self.dirty_rows += u64::from((mask & !*slot).count_ones());
-        *slot |= mask;
+        self.dirty_rows += u64::from((mask & !old).count_ones());
+        if let Some(slot) = self.rows.get_mut(stripe as usize) {
+            *slot |= mask;
+        }
     }
 
     /// The dirty row mask of a stripe (0 = fully redundant).
@@ -155,27 +326,46 @@ impl MarkingMemory {
     ///
     /// Panics if `stripe` is out of range.
     pub fn row_mask(&self, stripe: u64) -> u64 {
-        self.rows[stripe as usize]
+        if self.granularity == MarkGranularity::STRIPE {
+            assert!(stripe < self.stripes(), "stripe {stripe} out of range");
+            u64::from(self.marked.contains(stripe))
+        } else {
+            self.rows[stripe as usize]
+        }
     }
 
     /// True if the stripe has stale parity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stripe` is out of range.
     pub fn is_marked(&self, stripe: u64) -> bool {
-        self.rows[stripe as usize] != 0
+        self.row_mask(stripe) != 0
     }
 
     /// Clears a stripe after its parity has been rebuilt.
     pub fn clear(&mut self, stripe: u64) {
-        let slot = &mut self.rows[stripe as usize];
-        if *slot != 0 {
-            self.dirty_rows -= u64::from(slot.count_ones());
-            self.dirty_set.remove(&stripe);
-            *slot = 0;
+        let old = self.row_mask(stripe);
+        if old != 0 {
+            self.dirty_rows -= u64::from(old.count_ones());
+            self.marked.remove(stripe);
+            if let Some(slot) = self.rows.get_mut(stripe as usize) {
+                *slot = 0;
+            }
         }
+    }
+
+    /// Clears every stripe, as recovery does once it has rebuilt or
+    /// declared them all; a failed memory stays failed.
+    pub fn clear_all(&mut self) {
+        self.rows.fill(0);
+        self.dirty_rows = 0;
+        self.marked = StripeSet::new(self.stripes());
     }
 
     /// Number of unredundant stripes.
     pub fn marked_count(&self) -> u64 {
-        self.dirty_set.len() as u64
+        self.marked.len()
     }
 
     /// Number of marked rows across all stripes: `M` for each fully
@@ -184,30 +374,33 @@ impl MarkingMemory {
         self.dirty_rows
     }
 
+    /// The marked stripes, in stripe order.
+    pub fn marked(&self) -> impl Iterator<Item = u64> + '_ {
+        self.marked.iter()
+    }
+
     /// Up to `limit` marked stripes in cyclic order starting at
     /// `from` (taken modulo the stripe count). The scrubber uses this
-    /// to assemble a batch in one O(limit log n) query; sweeping in
-    /// disk order is what makes coalescing adjacent stripes effective.
+    /// to assemble a batch; the bitmap's summary bits let the query
+    /// skip clean regions, and sweeping in disk order is what makes
+    /// coalescing adjacent stripes effective.
     pub fn marked_from(&self, from: u64, limit: usize) -> Vec<u64> {
-        if self.dirty_set.is_empty() || limit == 0 {
+        if self.marked.is_empty() || limit == 0 {
             return Vec::new();
         }
-        let n = self.rows.len() as u64;
-        let start = from % n;
-        self.dirty_set
-            .range(start..)
-            .chain(self.dirty_set.range(..start))
+        let start = from % self.stripes();
+        self.marked
+            .iter_from(start)
+            .chain(self.marked().take_while(|&s| s < start))
             .take(limit)
-            .copied()
             .collect()
     }
 
     /// The length of the run of consecutive marked stripes starting at
     /// `stripe`, capped at `max`.
     pub fn marked_run(&self, stripe: u64, max: u64) -> u64 {
-        let n = self.rows.len() as u64;
         let mut len = 0;
-        while len < max && stripe + len < n && self.rows[(stripe + len) as usize] != 0 {
+        while len < max && self.marked.contains(stripe + len) {
             len += 1;
         }
         len
@@ -221,13 +414,10 @@ impl MarkingMemory {
     /// then unmarks the stripes that keep no parity.
     pub fn fail(&mut self) {
         self.failed = true;
-        let m = self.granularity.bits();
-        let mask = if m == 64 { u64::MAX } else { (1u64 << m) - 1 };
-        self.dirty_rows = self.rows.len() as u64 * u64::from(m);
-        self.dirty_set = (0..self.rows.len() as u64).collect();
-        for slot in &mut self.rows {
-            *slot = mask;
-        }
+        let mask = self.full_mask();
+        self.rows.fill(mask);
+        self.dirty_rows = self.stripes() * u64::from(self.granularity.bits());
+        self.marked.fill();
     }
 
     /// True once [`MarkingMemory::fail`] has been invoked.
@@ -379,13 +569,14 @@ mod tests {
     /// of update, at one, eight and 64 rows a stripe.
     #[test]
     fn counts_track_the_masks() {
-        fn rows(mem: &MarkingMemory) -> u64 {
-            mem.rows.iter().map(|r| u64::from(r.count_ones())).sum()
+        fn masks(mem: &MarkingMemory) -> impl Iterator<Item = u64> + '_ {
+            (0..mem.stripes()).map(|s| mem.row_mask(s))
         }
         fn check(mem: &MarkingMemory, expected_rows: u64) {
-            assert_eq!(rows(mem), expected_rows);
+            let rows: u64 = masks(mem).map(|r| u64::from(r.count_ones())).sum();
+            assert_eq!(rows, expected_rows);
             assert_eq!(mem.dirty_rows(), expected_rows);
-            let nonzero = mem.rows.iter().filter(|&&r| r != 0).count();
+            let nonzero = masks(mem).filter(|&r| r != 0).count();
             assert_eq!(mem.marked_count(), nonzero as u64);
         }
         // Rows dirty after: [0, 3000) on stripe 2; [1000, 5000) on
@@ -409,6 +600,202 @@ mod tests {
             check(&mem, 8 * u64::from(m));
             mem.clear(0);
             check(&mem, 7 * u64::from(m));
+        }
+    }
+
+    /// The index the bitmap replaced: the masks plus an ordered set of
+    /// the marked stripes. [`MarkingMemory`] must answer exactly as it
+    /// does.
+    struct BTreeSetIndex {
+        rows: Vec<u64>,
+        m: u32,
+        dirty_rows: u64,
+        dirty_set: std::collections::BTreeSet<u64>,
+    }
+
+    impl BTreeSetIndex {
+        fn new(stripes: u64, m: u32) -> BTreeSetIndex {
+            BTreeSetIndex {
+                rows: vec![0; stripes as usize],
+                m,
+                dirty_rows: 0,
+                dirty_set: std::collections::BTreeSet::new(),
+            }
+        }
+
+        fn full_mask(&self) -> u64 {
+            if self.m == 64 {
+                u64::MAX
+            } else {
+                (1 << self.m) - 1
+            }
+        }
+
+        fn mark_mask(&mut self, stripe: u64, mask: u64) {
+            let slot = &mut self.rows[stripe as usize];
+            if *slot == 0 && mask != 0 {
+                self.dirty_set.insert(stripe);
+            }
+            self.dirty_rows += u64::from((mask & !*slot).count_ones());
+            *slot |= mask;
+        }
+
+        fn mark_rows(&mut self, stripe: u64, unit_bytes: u64, from: u64, to: u64) {
+            let row_h = unit_bytes.div_ceil(u64::from(self.m));
+            let mask = (from / row_h..=(to - 1) / row_h).fold(0, |mask, r| mask | 1 << r);
+            self.mark_mask(stripe, mask);
+        }
+
+        fn clear(&mut self, stripe: u64) {
+            let slot = &mut self.rows[stripe as usize];
+            if *slot != 0 {
+                self.dirty_rows -= u64::from(slot.count_ones());
+                self.dirty_set.remove(&stripe);
+                *slot = 0;
+            }
+        }
+
+        fn fail(&mut self) {
+            let mask = self.full_mask();
+            self.dirty_rows = self.rows.len() as u64 * u64::from(self.m);
+            self.dirty_set = (0..self.rows.len() as u64).collect();
+            self.rows.fill(mask);
+        }
+
+        fn marked_from(&self, from: u64, limit: usize) -> Vec<u64> {
+            if self.dirty_set.is_empty() || limit == 0 {
+                return Vec::new();
+            }
+            let start = from % self.rows.len() as u64;
+            self.dirty_set
+                .range(start..)
+                .chain(self.dirty_set.range(..start))
+                .take(limit)
+                .copied()
+                .collect()
+        }
+
+        fn marked_run(&self, stripe: u64, max: u64) -> u64 {
+            let n = self.rows.len() as u64;
+            let mut len = 0;
+            while len < max && stripe + len < n && self.rows[(stripe + len) as usize] != 0 {
+                len += 1;
+            }
+            len
+        }
+    }
+
+    /// The seed of the bitmap property: `AFRAID_SEED`, default
+    /// `0x0B17_0030`, so CI can rerun it at several seeds.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "CI reruns this property at several seeds"
+    )]
+    fn seed() -> u64 {
+        std::env::var("AFRAID_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(0x0B17_0030)
+    }
+
+    /// The bitmap index answers every query exactly as the ordered-set
+    /// index did, after every operation of seeded random sequences of
+    /// marks, sub-row marks, clears and failures, at stripe counts on
+    /// both sides of a bits word (64) and of a summary word (4,096), up
+    /// to past the paper array's 256 K stripes.
+    #[test]
+    fn bitmap_index_answers_as_the_btreeset_reference() {
+        use afraid_sim::rng::SplitMix64;
+
+        let mut rng = SplitMix64::new(seed());
+        for n in [1u64, 63, 64, 65, 4_095, 4_096, 4_097, 262_145] {
+            for m in [1u32, 8, 64] {
+                let mut mem = MarkingMemory::new(n, MarkGranularity::rows(m));
+                let mut reference = BTreeSetIndex::new(n, m);
+                let mut near = 0u64;
+                for op in 0..300 {
+                    // Stripes cluster around a wandering point, so runs
+                    // form and words fill, empty and refill.
+                    let stripe = match rng.next_below(4) {
+                        0 => rng.next_below(n),
+                        1 => {
+                            [0, 63, 64, 4_095, 4_096, n - 1][rng.next_below(6) as usize].min(n - 1)
+                        }
+                        _ => (near + rng.next_below(130)) % n,
+                    };
+                    near = stripe.saturating_sub(64);
+                    match rng.next_below(100) {
+                        0 => {
+                            mem.fail();
+                            reference.fail();
+                        }
+                        1..=30 => {
+                            mem.mark(stripe);
+                            let mask = reference.full_mask();
+                            reference.mark_mask(stripe, mask);
+                        }
+                        31..=55 => {
+                            let to = 1 + rng.next_below(8192);
+                            let from = rng.next_below(to);
+                            mem.mark_rows(stripe, 8192, from, to);
+                            reference.mark_rows(stripe, 8192, from, to);
+                        }
+                        56..=61 => {
+                            // Clear a run of stripes, as a scrub batch does.
+                            for s in stripe..(stripe + rng.next_below(70)).min(n) {
+                                mem.clear(s);
+                                reference.clear(s);
+                            }
+                        }
+                        _ => {
+                            mem.clear(stripe);
+                            reference.clear(stripe);
+                        }
+                    }
+                    let ctx = format!("n {n} m {m} op {op}");
+                    assert_eq!(
+                        mem.marked_count(),
+                        reference.dirty_set.len() as u64,
+                        "{ctx}"
+                    );
+                    assert_eq!(mem.dirty_rows(), reference.dirty_rows, "{ctx}");
+                    for _ in 0..4 {
+                        let from = match rng.next_below(3) {
+                            0 => rng.next_below(n),
+                            1 => n + rng.next_below(3 * n),
+                            _ => stripe,
+                        };
+                        let limit = match rng.next_below(8) {
+                            0 => 0,
+                            // Past the marked count, which a failure
+                            // can make the whole (small) array.
+                            1 => (n + 1).min(5_000) as usize,
+                            _ => rng.next_below(70) as usize,
+                        };
+                        assert_eq!(
+                            mem.marked_from(from, limit),
+                            reference.marked_from(from, limit),
+                            "{ctx}: marked_from({from}, {limit})"
+                        );
+                        let (s, max) = (rng.next_below(n), rng.next_below(80));
+                        assert_eq!(
+                            mem.marked_run(s, max),
+                            reference.marked_run(s, max),
+                            "{ctx}"
+                        );
+                        assert_eq!(mem.is_marked(s), reference.rows[s as usize] != 0, "{ctx}");
+                        assert_eq!(mem.row_mask(s), reference.rows[s as usize], "{ctx}");
+                    }
+                    assert_eq!(mem.is_marked(stripe), reference.rows[stripe as usize] != 0);
+                }
+                assert!(
+                    mem.marked().eq(reference.dirty_set.iter().copied()),
+                    "n {n} m {m}: marked stripes in order"
+                );
+                mem.clear_all();
+                assert_eq!((mem.marked_count(), mem.dirty_rows()), (0, 0));
+                assert!(mem.marked_from(0, usize::MAX).is_empty());
+            }
         }
     }
 

@@ -46,7 +46,11 @@
 //!
 //! The chaos harness (`afraid-chaos`) byte-checks the outcome against
 //! the shadow model's ground truth at thousands of cut points per
-//! trace.
+//! trace. Both sides cost what the crash dirtied, not what the array
+//! holds: a stripe no write touched ([`touched_rows`]) holds its seed
+//! content everywhere, so [`replay`] gives per-unit work only to the
+//! touched and the marked stripes, and the judge sweeps only the
+//! touched ones.
 //!
 //! # Analytic time models
 //!
@@ -70,7 +74,7 @@ use serde::{Deserialize, Serialize};
 use crate::controller::Controller;
 use crate::faults::{ArrayView, Disposition};
 use crate::integrity::{reconstruct_unit, IntegrityState, IntegrityVerdict};
-use crate::nvram::MarkingMemory;
+use crate::nvram::{MarkingMemory, StripeSet};
 use crate::regions::RegionMap;
 use crate::shadow::ShadowArray;
 
@@ -168,7 +172,7 @@ pub struct LostUnit {
 }
 
 /// What the power-on replay did, plus the recovered array state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RecoveryOutcome {
     /// The recovered durable contents: every stripe parity-consistent.
     pub shadow: ShadowArray,
@@ -202,6 +206,30 @@ pub struct RecoveryOutcome {
 /// contents.
 const SCRAMBLE: u64 = 0xdead_dead_dead_dead;
 
+/// The stripes where `shadows` or `tags` depart from a freshly
+/// initialised array: a shadow row or a row of tags holding a non-zero
+/// delta, or a live corruption. A stripe outside the set is untouched
+/// in all of them — parity-consistent, equal across the arrays,
+/// holding its intents, with nothing registered — so a recovery or
+/// verdict sweep knows its answer there without per-unit work.
+///
+/// # Panics
+///
+/// Panics if `shadows` is empty.
+pub fn touched_rows(shadows: &[&ShadowArray], tags: Option<&IntegrityState>) -> StripeSet {
+    let mut rows = StripeSet::new(shadows[0].layout().stripes());
+    for shadow in shadows {
+        shadow.touched_rows().for_each(|s| rows.insert(s));
+    }
+    if let Some(int) = tags {
+        int.touched_rows().for_each(|s| rows.insert(s));
+        int.live_corrupt()
+            .iter()
+            .for_each(|&(s, _, _)| rows.insert(s));
+    }
+    rows
+}
+
 /// Runs the power-on recovery state machine over a crash image. See
 /// the module docs for the three cases.
 ///
@@ -209,39 +237,96 @@ const SCRAMBLE: u64 = 0xdead_dead_dead_dead;
 /// power-on: the marking memory and the surviving disks' contents.
 /// The dead disk's shadow words are scrambled before reconstruction
 /// so nothing can leak through.
+///
+/// Per-unit work goes only to the stripes a write touched
+/// ([`touched_rows`]) and, without a dead disk, to the marked ones.
+/// On an untouched stripe every unit verifies and the dead unit
+/// rebuilds to the content it held, so there the pass only keeps the
+/// ledger: a spurious mark, a reconstruction or a declared loss.
 pub fn replay(image: &CrashImage) -> RecoveryOutcome {
-    let mut shadow = image.shadow.clone();
-    let mut marks = image.marks.clone();
-    let mut integrity = image.integrity.clone();
-    let layout = *shadow.layout();
-
-    if let Some(f) = image.failed_disk {
-        for stripe in 0..layout.stripes() {
-            shadow.set_word(stripe, f, SCRAMBLE ^ stripe);
+    let mut out = RecoveryOutcome {
+        shadow: image.shadow.clone(),
+        marks: image.marks.clone(),
+        scrubbed: 0,
+        spurious_marks: 0,
+        reconstructed: 0,
+        declared_lost: Vec::new(),
+        corrupt_repaired: 0,
+        corrupt_declared: Vec::new(),
+        integrity: image.integrity.clone(),
+    };
+    let mut touched = touched_rows(&[&image.shadow], image.integrity.as_ref());
+    match image.failed_disk {
+        None => {
+            for stripe in image.marks.marked() {
+                touched.insert(stripe);
+            }
+            for stripe in touched.iter() {
+                out.recover_stripe(image, stripe, None);
+            }
+        }
+        Some(f) => {
+            // Dead-disk units are classified from the image's marks and
+            // regions alone: recovery verifies every rebuilt unit
+            // itself, and the dead disk is gone.
+            let view = ArrayView {
+                layout: image.shadow.layout(),
+                marks: &image.marks,
+                regions: &image.regions,
+                shadow: None,
+                integrity: None,
+                latent: None,
+            };
+            for stripe in 0..image.shadow.layout().stripes() {
+                let disposition = view.classify(stripe, f).0;
+                if touched.contains(stripe) {
+                    out.recover_stripe(image, stripe, Some((f, disposition)));
+                    continue;
+                }
+                // The survivors XOR back to the untouched dead unit, so
+                // its scramble and rebuild would restore the row as it
+                // is, and its candidate verifies.
+                match disposition {
+                    Disposition::ParityOnly
+                    | Disposition::Poisoned(_)
+                    | Disposition::Reconstructs(_) => out.reconstructed += 1,
+                    Disposition::Unprotected(unit) | Disposition::Stale(unit) => {
+                        out.declared_lost.push(LostUnit {
+                            stripe,
+                            unit,
+                            disk: f,
+                        });
+                    }
+                }
+            }
         }
     }
+    out.marks.clear_all();
+    out
+}
 
-    let mut scrubbed = 0u64;
-    let mut spurious_marks = 0u64;
-    let mut reconstructed = 0u64;
-    let mut declared_lost: Vec<LostUnit> = Vec::new();
-    let mut corrupt_repaired = 0u64;
-    let mut corrupt_declared: Vec<LostUnit> = Vec::new();
-
-    // Dead-disk units are classified from the image's marks and regions
-    // alone (the pass clears only stripes it has left behind): recovery
-    // verifies every rebuilt unit itself, and the dead disk is gone.
-    let view = ArrayView {
-        layout: &layout,
-        marks: &image.marks,
-        regions: &image.regions,
-        shadow: None,
-        integrity: None,
-        latent: None,
-    };
-    for stripe in 0..layout.stripes() {
-        let fresh = image.regions.parity_fresh(&marks, stripe);
-        let dead = image.failed_disk.map(|f| (f, view.classify(stripe, f).0));
+impl RecoveryOutcome {
+    /// Recovers one stripe of `image` into this outcome, with `dead`
+    /// naming the dead disk and what it held there.
+    fn recover_stripe(
+        &mut self,
+        image: &CrashImage,
+        stripe: u64,
+        dead: Option<(u32, Disposition)>,
+    ) {
+        let layout = *image.shadow.layout();
+        let shadow = &mut self.shadow;
+        // A row whose every unit verifies leaves the cross-check below
+        // nothing to do; asked before the scramble, which only the dead
+        // unit's verdict would see.
+        let verified = self
+            .integrity
+            .as_ref()
+            .is_none_or(|int| int.row_verifies(shadow, stripe));
+        if let Some((f, _)) = dead {
+            shadow.set_word(stripe, f, SCRAMBLE ^ stripe);
+        }
+        let fresh = image.regions.parity_fresh(&image.marks, stripe);
         // Write-intent cross-check of every surviving data unit,
         // *before* any parity rebuild could launder a torn or lost
         // write into a consistent-looking stripe. Only an intact stripe
@@ -249,15 +334,15 @@ pub fn replay(image: &CrashImage) -> RecoveryOutcome {
         // else mismatching survivors are declared as-is (and a rotten
         // survivor poisons the dead unit's reconstruction below, which
         // its checksum then catches).
-        if let Some(int) = &mut integrity {
+        if let Some(int) = self.integrity.as_mut().filter(|_| !verified) {
             for unit in 0..layout.data_units() {
                 if dead.is_some_and(|(f, _)| layout.data_unit(stripe, f) == Some(unit)) {
                     continue;
                 }
-                match int.resolve(&mut shadow, stripe, unit, dead.is_none() && fresh) {
+                match int.resolve(shadow, stripe, unit, dead.is_none() && fresh) {
                     IntegrityVerdict::Clean => {}
-                    IntegrityVerdict::Repaired => corrupt_repaired += 1,
-                    IntegrityVerdict::Declared => corrupt_declared.push(LostUnit {
+                    IntegrityVerdict::Repaired => self.corrupt_repaired += 1,
+                    IntegrityVerdict::Declared => self.corrupt_declared.push(LostUnit {
                         stripe,
                         unit,
                         disk: layout.data_disk(stripe, unit),
@@ -270,12 +355,12 @@ pub fn replay(image: &CrashImage) -> RecoveryOutcome {
                 // Pure power loss: data is all present; only the parity
                 // of marked stripes may be stale and need the scrub (a
                 // never-protected stripe keeps none).
-                if marks.is_marked(stripe) {
+                if image.marks.is_marked(stripe) {
                     if shadow.parity_consistent(stripe) {
-                        spurious_marks += 1;
+                        self.spurious_marks += 1;
                     } else {
                         shadow.rebuild_parity(stripe);
-                        scrubbed += 1;
+                        self.scrubbed += 1;
                     }
                 }
             }
@@ -283,42 +368,29 @@ pub fn replay(image: &CrashImage) -> RecoveryOutcome {
                 // All data survives; recompute parity onto the spare. A
                 // mark here meant "parity stale", which is now moot.
                 shadow.rebuild_parity(stripe);
-                reconstructed += 1;
+                self.reconstructed += 1;
             }
             Some((disk, Disposition::Unprotected(unit) | Disposition::Stale(unit))) => {
                 // The XOR value is undefined garbage, absorbed as the
                 // unit's defined content (the array must leave recovery
                 // consistent) and declared lost.
-                reconstruct_unit(&mut shadow, integrity.as_mut(), stripe, disk, false);
-                declared_lost.push(LostUnit { stripe, unit, disk });
+                reconstruct_unit(shadow, self.integrity.as_mut(), stripe, disk, false);
+                self.declared_lost.push(LostUnit { stripe, unit, disk });
             }
             Some((disk, Disposition::Poisoned(unit) | Disposition::Reconstructs(unit))) => {
                 // Fresh parity: the unit reconstructs, unless a
                 // survivor's rot poisoned the candidate.
                 let lost = LostUnit { stripe, unit, disk };
-                match reconstruct_unit(&mut shadow, integrity.as_mut(), stripe, disk, true) {
-                    IntegrityVerdict::Declared => corrupt_declared.push(lost),
+                match reconstruct_unit(shadow, self.integrity.as_mut(), stripe, disk, true) {
+                    IntegrityVerdict::Declared => self.corrupt_declared.push(lost),
                     IntegrityVerdict::Repaired => {
-                        corrupt_repaired += 1;
-                        reconstructed += 1;
+                        self.corrupt_repaired += 1;
+                        self.reconstructed += 1;
                     }
-                    IntegrityVerdict::Clean => reconstructed += 1,
+                    IntegrityVerdict::Clean => self.reconstructed += 1,
                 }
             }
         }
-        marks.clear(stripe);
-    }
-
-    RecoveryOutcome {
-        shadow,
-        marks,
-        scrubbed,
-        spurious_marks,
-        reconstructed,
-        declared_lost,
-        corrupt_repaired,
-        corrupt_declared,
-        integrity,
     }
 }
 
@@ -353,7 +425,6 @@ mod tests {
     use super::*;
     use crate::layout::Layout;
     use crate::nvram::MarkGranularity;
-    use std::collections::BTreeSet;
 
     /// A hand-built crash image over a 5-disk, 20-stripe array.
     fn image() -> CrashImage {
@@ -388,8 +459,9 @@ mod tests {
         for s in 0..img.shadow.layout().stripes() {
             assert!(out.shadow.parity_consistent(s), "stripe {s}");
         }
+        let all = 0..img.shadow.layout().stripes();
         assert_eq!(
-            out.shadow.data_divergence(&img.shadow, &BTreeSet::new()),
+            out.shadow.data_divergence(&img.shadow, all, |_, _| false),
             None
         );
     }
@@ -417,12 +489,13 @@ mod tests {
             }]
         );
         // Everything else reconstructs byte-identically.
-        let skip: BTreeSet<(u64, u32)> = out
-            .declared_lost
-            .iter()
-            .map(|l| (l.stripe, l.unit))
-            .collect();
-        assert_eq!(out.shadow.data_divergence(&img.shadow, &skip), None);
+        let all = 0..layout.stripes();
+        let declared = |s, u| {
+            out.declared_lost
+                .iter()
+                .any(|l| (l.stripe, l.unit) == (s, u))
+        };
+        assert_eq!(out.shadow.data_divergence(&img.shadow, all, declared), None);
         for s in 0..layout.stripes() {
             assert!(out.shadow.parity_consistent(s), "stripe {s}");
         }
@@ -486,7 +559,10 @@ mod tests {
         }
         let int = out.integrity.expect("image carried integrity state");
         assert_eq!(int.live(), 0);
-        assert_eq!(int.divergence(&out.shadow, &BTreeSet::new()), None);
+        assert_eq!(
+            int.divergence(&out.shadow, 0..l.stripes(), |_, _| false),
+            None
+        );
         assert_eq!(int.counters.repaired, 1);
     }
 
@@ -519,7 +595,10 @@ mod tests {
         // recovery leaves no *silent* divergence behind.
         let int = out.integrity.expect("image carried integrity state");
         assert_eq!(int.live(), 0);
-        assert_eq!(int.divergence(&out.shadow, &BTreeSet::new()), None);
+        assert_eq!(
+            int.divergence(&out.shadow, 0..l.stripes(), |_, _| false),
+            None
+        );
         assert_eq!(int.counters.declared, 1);
         assert_eq!(int.counters.detected, 1);
     }
@@ -551,7 +630,10 @@ mod tests {
             .clone()
             .expect("image carried integrity state");
         assert_eq!(int.live(), 0);
-        assert_eq!(int.divergence(&out.shadow, &BTreeSet::new()), None);
+        assert_eq!(
+            int.divergence(&out.shadow, 0..l.stripes(), |_, _| false),
+            None
+        );
         int
     }
 
