@@ -13,12 +13,11 @@ use std::io::{self, Write};
 use std::str::FromStr;
 
 use afraid_chaos::Scenario;
-use afraid_exp::CellCache;
 use afraid_sim::time::SimDuration;
 use afraid_trace::workloads::{WorkloadKind, WorkloadSpec};
 use serde::Serialize;
 
-use crate::harness::{self, Setup, RESULT_SCHEMA};
+use crate::harness::{self, Setup};
 use crate::paper::{self, Artifact, Matrix};
 
 mod gates;
@@ -57,19 +56,13 @@ SHARED OPTIONS (each means the same wherever it is accepted):
     --jobs <n>            worker threads; output is byte-identical at
                           any count (default: AFRAID_JOBS or all cores;
                           not taken by run)
-    --cache               replay memoised cells from target/cell-cache;
-                          output is byte-identical to a fresh run (not
-                          taken by run)
-    --no-cache            disable the cell cache (default)
-    --json                machine-readable stdout; cache counters then go
-                          to stderr so cold and warm runs compare
-                          byte-for-byte (not taken by paper)
+    --json                machine-readable stdout (not taken by paper)
 
 SWEEP OPTIONS:
     --full                the full Figure 3 policy grid (RAID 5, seven
                           MTTDL_x targets, AFRAID, RAID 0) instead of
                           the three headline designs; `paper` runs the
-                          same cells, so the two share cache entries
+                          same cells
 
 CHAOS OPTIONS:
     --scenario <name>     baseline | scrub | rebuild | evict | nvram |
@@ -188,16 +181,14 @@ pub struct Common {
     pub seed: u64,
     /// `--jobs`: worker threads, at least one.
     pub jobs: usize,
-    /// `--cache` / `--no-cache`: replay memoised cells.
-    pub cache: bool,
     /// `--json`: machine-readable stdout.
     pub json: bool,
 }
 
 /// Every shared flag.
-const SHARED: &str = "--secs --seed --jobs --cache --no-cache --json";
+const SHARED: &str = "--secs --seed --jobs --json";
 /// The shared flags `paper` takes.
-const PAPER: &str = "--secs --seed --jobs --cache --no-cache";
+const PAPER: &str = "--secs --seed --jobs";
 
 /// Largest `--secs` whose nanosecond count fits in a `u64`.
 const MAX_SECS: u64 = u64::MAX / 1_000_000_000;
@@ -208,7 +199,6 @@ impl Common {
             secs,
             seed: 42,
             jobs: afraid_exp::default_jobs(),
-            cache: false,
             json: false,
         }
     }
@@ -240,27 +230,18 @@ impl Common {
                     return Err(bad(flag, raw, "want at least one worker"));
                 }
             }
-            "--cache" => self.cache = true,
-            "--no-cache" => self.cache = false,
             "--json" => self.json = true,
             _ => return Err(args.unexpected(flag)),
         }
         Ok(())
     }
 
-    /// Opens the cell cache under `schema` if `--cache` was given.
-    fn cache(&self, schema: &str) -> Option<CellCache> {
-        self.cache
-            .then(|| CellCache::new(CellCache::default_dir(), schema))
-    }
-
     /// The simulation coordinates these flags select.
-    fn setup<'a>(&self, cache: Option<&'a CellCache>) -> Setup<'a> {
+    fn setup(&self) -> Setup {
         Setup {
             duration: SimDuration::from_secs(self.secs),
             seed: self.seed,
             jobs: self.jobs,
-            cache,
         }
     }
 }
@@ -448,8 +429,7 @@ pub fn execute(command: Command, out: &mut dyn Write) -> io::Result<bool> {
         } => gates::chaos(&common, cuts, &scenarios, out),
         Command::Integrity(common) => gates::integrity(&common, out),
         Command::Paper { common, artifacts } => {
-            let cache = common.cache(RESULT_SCHEMA);
-            paper::render(&artifacts, &common.setup(cache.as_ref()), out).map(|()| true)
+            paper::render(&artifacts, &common.setup(), out).map(|()| true)
         }
         Command::Workloads => {
             for kind in WorkloadKind::all() {
@@ -486,23 +466,6 @@ fn json(out: &mut dyn Write, value: &impl Serialize) -> io::Result<()> {
     writeln!(out, "{text}")
 }
 
-/// Reports the cache counters, if a cache is in use: on stderr after
-/// JSON, so stdout stays byte-comparable between cold and warm runs,
-/// and as a summary line on `out` otherwise.
-fn cache_stats(cache: Option<&CellCache>, json: bool, out: &mut dyn Write) -> io::Result<()> {
-    let Some(c) = cache else {
-        return Ok(());
-    };
-    if json {
-        let text =
-            serde_json::to_string(&c.stats()).map_err(|e| io::Error::other(e.to_string()))?;
-        eprintln!("{text}");
-        Ok(())
-    } else {
-        writeln!(out, "{}", c.stats().summary())
-    }
-}
-
 /// One cell of the sweep matrix, shaped for `--json` output.
 #[derive(Serialize)]
 struct SweepRow {
@@ -523,8 +486,7 @@ fn sweep(c: &Common, full: bool, out: &mut dyn Write) -> io::Result<()> {
     } else {
         harness::headline_designs()
     };
-    let cache = c.cache(RESULT_SCHEMA);
-    let m = Matrix::run(policies, &c.setup(cache.as_ref()));
+    let m = Matrix::run(policies, &c.setup());
     let mut cells = Vec::new();
     for (kind, _, row) in m.workloads() {
         for ((name, _), cell) in m.policies.iter().zip(row) {
@@ -542,8 +504,7 @@ fn sweep(c: &Common, full: bool, out: &mut dyn Write) -> io::Result<()> {
     }
 
     if c.json {
-        json(out, &cells)?;
-        return cache_stats(cache.as_ref(), true, out);
+        return json(out, &cells);
     }
     let (secs, seed, jobs) = (c.secs, c.seed, c.jobs);
     writeln!(out, "Sweep: {secs}s traces, seed {seed}, jobs {jobs}\n")?;
@@ -564,8 +525,5 @@ fn sweep(c: &Common, full: bool, out: &mut dyn Write) -> io::Result<()> {
             c.mttdl_overall_hours,
         )?;
     }
-    if cache.is_some() {
-        writeln!(out)?;
-    }
-    cache_stats(cache.as_ref(), false, out)
+    Ok(())
 }

@@ -11,19 +11,19 @@ use afraid::config::ArrayConfig;
 use afraid::driver::{run_trace, RunOptions};
 use afraid::integrity::IntegrityCounters;
 use afraid::policy::ParityPolicy;
-use afraid_chaos::{cut_points, summarize, sweep, Scenario, CHAOS_SCHEMA};
+use afraid_chaos::{cut_points, summarize, sweep, Scenario};
+use afraid_exp::map_parallel;
 use afraid_sim::time::SimDuration;
 use afraid_trace::workloads::{WorkloadKind, WorkloadSpec};
 use serde::Serialize;
 
-use super::{cache_stats, json, Common};
-use crate::harness::{self, header, RESULT_SCHEMA};
+use super::{json, Common};
+use crate::harness::header;
 
 /// `chaos`: for each scenario, crash the array at `cuts_n` evenly
 /// spread event boundaries (replay to the cut, power off, recover from
 /// NVRAM + survivors, byte-check against the shadow model). `--jobs`
-/// splits each sweep's cuts over workers with bit-identical output,
-/// and `--cache` replays a memoised sweep as one entry.
+/// splits each sweep's cuts over workers with bit-identical output.
 /// Returns whether every cut passed.
 pub(super) fn chaos(
     c: &Common,
@@ -32,7 +32,6 @@ pub(super) fn chaos(
     out: &mut dyn Write,
 ) -> io::Result<bool> {
     let duration = SimDuration::from_secs(c.secs);
-    let cache = c.cache(CHAOS_SCHEMA);
     let head = "scenario   events   cuts failed scrubbed  spurious  reconst  declared true-lost crpt-rep crpt-dec   wall s";
     if !c.json {
         writeln!(
@@ -55,7 +54,7 @@ pub(super) fn chaos(
         let total = spec.total_events(&trace);
         let cuts = cut_points(total, cuts_n);
         let t1 = Instant::now();
-        let verdicts = sweep(&spec, &trace, &cuts, c.jobs, cache.as_ref());
+        let verdicts = sweep(&spec, &trace, &cuts, c.jobs);
         let s = summarize(sc.name(), &verdicts);
         if !c.json {
             writeln!(
@@ -93,7 +92,6 @@ pub(super) fn chaos(
             t0.elapsed().as_secs_f64(),
         )?;
     }
-    cache_stats(cache.as_ref(), c.json, out)?;
     Ok(all_passed)
 }
 
@@ -119,7 +117,6 @@ struct Row {
 /// `blind` cells and no false positive anywhere.
 pub(super) fn integrity(c: &Common, out: &mut dyn Write) -> io::Result<bool> {
     let duration = SimDuration::from_secs(c.secs);
-    let cache = c.cache(RESULT_SCHEMA);
     // Shadow + integrity bookkeeping scale with stripes: use the small
     // test array so the sweep stays interactive.
     let capacity = {
@@ -168,13 +165,9 @@ pub(super) fn integrity(c: &Common, out: &mut dyn Write) -> io::Result<bool> {
     }
 
     let t0 = Instant::now();
-    let results = harness::run_variants_cached(
-        c.jobs,
-        &cells,
-        cache.as_ref(),
-        |cc, (_, _, cfg)| harness::cell_key(cc, cfg, &trace.name, capacity, duration, c.seed),
-        |(_, _, cfg)| run_trace(cfg, &trace, &RunOptions::default()),
-    );
+    let results = map_parallel(c.jobs, &cells, |_, (_, _, cfg)| {
+        run_trace(cfg, &trace, &RunOptions::default())
+    });
 
     let mut rows = Vec::new();
     let mut held = true;
@@ -227,6 +220,5 @@ pub(super) fn integrity(c: &Common, out: &mut dyn Write) -> io::Result<bool> {
         let wall = t0.elapsed().as_secs_f64();
         writeln!(out, "{} cells in {wall:.2}s", rows.len())?;
     }
-    cache_stats(cache.as_ref(), c.json, out)?;
     Ok(held)
 }

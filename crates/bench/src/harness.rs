@@ -1,12 +1,9 @@
 //! Shared experiment plumbing: configurations, runs, parallel fan-out,
 //! and table formatting.
 //!
-//! Cells fan out over `jobs` worker threads and, when a
-//! [`CellCache`] is given, replay memoised results from
-//! `target/cell-cache`. Results are merged in matrix order, so the
-//! printed tables are byte-identical at any job count — and, by the
-//! cache's bit-identity guarantee, whether a cell was simulated or
-//! replayed.
+//! Cells fan out over `jobs` worker threads. Results are merged in
+//! matrix order, so the printed tables are byte-identical at any job
+//! count.
 
 use std::io::{self, Write};
 
@@ -15,18 +12,16 @@ use afraid::driver::{run_trace, RunOptions, RunResult};
 use afraid::policy::ParityPolicy;
 use afraid::report::availability;
 use afraid_avail::report::AvailabilityReport;
-use afraid_exp::{map_parallel, run_matrix, CacheKey, CellCache};
+use afraid_exp::run_matrix;
 use afraid_sim::time::SimDuration;
 use afraid_trace::workloads::WorkloadKind;
-use serde::{Deserialize, Serialize};
 
 /// Logical capacity the synthetic traces address: 7 GB, comfortably
 /// inside the 5 x 2 GB array's ~7.8 GB usable space.
 pub const TRACE_CAPACITY: u64 = 7 * 1024 * 1024 * 1024;
 
-/// Schema tag baked into every cache key and entry. Bump whenever the
-/// serialized shape of [`RunResult`] (or anything feeding it) changes
-/// in a way the crate version does not capture.
+/// Schema tag of the serialized [`RunResult`]. Bump whenever its shape
+/// or the values a run produces change.
 /// v2: `RunMetrics` gained the integrity-counter block.
 /// v3: the `declared` integrity counter counts registered corruptions
 /// only, which changes runs that combine corruption with a disk
@@ -68,51 +63,23 @@ pub struct Cell {
     pub avail: AvailabilityReport,
 }
 
-/// Builds the cache key for one cell from its full coordinates: base
-/// seed, trace identity (workload name, addressed capacity, duration),
-/// and the complete array configuration (which embeds the policy,
-/// `ScrubConfig` and `FaultConfig`). The builder itself salts in the
-/// schema tag and crate version. `afraid-cli paper` and `sweep` key
-/// the same matrix cells alike, so they hit each other's entries.
-pub fn cell_key(
-    cache: &CellCache,
-    cfg: &ArrayConfig,
-    workload: &str,
-    capacity: u64,
-    duration: SimDuration,
-    seed: u64,
-) -> CacheKey {
-    cache
-        .key_builder()
-        .u64(seed)
-        .str(workload)
-        .u64(capacity)
-        .f64(duration.as_secs_f64())
-        .str(&cfg.cache_encoding())
-        .finish()
-}
-
 /// The coordinates every simulated cell of a run shares.
 #[derive(Clone, Copy)]
-pub struct Setup<'a> {
+pub struct Setup {
     /// Simulated trace duration.
     pub duration: SimDuration,
     /// Workload-synthesis seed.
     pub seed: u64,
     /// Worker threads; output is byte-identical at any count.
     pub jobs: usize,
-    /// Cross-run cell cache, if enabled.
-    pub cache: Option<&'a CellCache>,
 }
 
 /// Generates one trace per workload in `kinds`, addressing `capacity`
 /// bytes, and runs every (trace × policy) cell on the paper's array
 /// over `setup.jobs` workers. Returns rows in `kinds` order, columns in
 /// policy order — the same shape and values a sequential double loop
-/// would produce. On a valid cache hit a cell's simulation is skipped
-/// and the stored `RunResult` replayed; availability is cheaply
-/// recomputed from the replayed metrics.
-pub fn run_cells_cached(
+/// would produce.
+pub fn run_cells(
     setup: &Setup,
     kinds: &[WorkloadKind],
     capacity: u64,
@@ -122,45 +89,13 @@ pub fn run_cells_cached(
         duration,
         seed,
         jobs,
-        cache,
     } = *setup;
     let traces = afraid_exp::generate_traces(jobs, kinds, capacity, duration, seed);
-    run_matrix(jobs, &traces, policies, |trace, (_, policy), key| {
+    run_matrix(jobs, &traces, policies, |trace, (_, policy), _| {
         let cfg = ArrayConfig::paper_default(*policy);
-        let run = || run_trace(&cfg, trace, &RunOptions::default());
-        let result = match cache {
-            Some(c) => {
-                let workload = kinds[key.trace].name();
-                c.run_cached(&cell_key(c, &cfg, workload, capacity, duration, seed), run)
-            }
-            None => run(),
-        };
+        let result = run_trace(&cfg, trace, &RunOptions::default());
         let avail = availability(&cfg, &result.metrics);
         Cell { result, avail }
-    })
-}
-
-/// Fans heterogeneous per-cell configurations (ablation studies) over
-/// `jobs` workers, preserving input order, with optional cross-run
-/// memoisation: `key_of` derives each variant's cache key (callers
-/// must fold in *every* coordinate the variant's result depends on —
-/// typically via [`cell_key`] or the cache's raw key builder).
-pub fn run_variants_cached<T, R, F, K>(
-    jobs: usize,
-    variants: &[T],
-    cache: Option<&CellCache>,
-    key_of: K,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send + Serialize + Deserialize,
-    F: Fn(&T) -> R + Sync,
-    K: Fn(&CellCache, &T) -> CacheKey + Sync,
-{
-    map_parallel(jobs, variants, |_, v| match cache {
-        Some(c) => c.run_cached(&key_of(c, v), || f(v)),
-        None => f(v),
     })
 }
 
@@ -225,10 +160,9 @@ mod tests {
             duration: SimDuration::from_secs(20),
             seed: SEED,
             jobs: 1,
-            cache: None,
         };
         let afraid = [("afraid".to_string(), ParityPolicy::IdleOnly)];
-        let rows = run_cells_cached(&setup, &[WorkloadKind::Hplajw], TRACE_CAPACITY, &afraid);
+        let rows = run_cells(&setup, &[WorkloadKind::Hplajw], TRACE_CAPACITY, &afraid);
         let trace = WorkloadSpec::preset(WorkloadKind::Hplajw).generate(
             TRACE_CAPACITY,
             setup.duration,
@@ -245,10 +179,9 @@ mod tests {
             duration: SimDuration::from_secs(10),
             seed: SEED,
             jobs: 4,
-            cache: None,
         };
         let policies = headline_designs();
-        let rows = run_cells_cached(&setup, &kinds, TRACE_CAPACITY, &policies);
+        let rows = run_cells(&setup, &kinds, TRACE_CAPACITY, &policies);
         assert_eq!(rows.len(), 2);
         for (kind, row) in kinds.into_iter().zip(&rows) {
             assert_eq!(row.len(), 3);

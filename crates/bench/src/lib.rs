@@ -11,8 +11,8 @@
 //!   regenerates every table and figure of the paper's evaluation.
 //!   Tables 2–4 and Figures 3–4 read one workload × policy
 //!   [`paper::Matrix`], simulated once per call.
-//! * [`harness`] — cell plumbing: the policy sweep, cached matrix and
-//!   variant fan-out, and table formatting.
+//! * [`harness`] — cell plumbing: the policy sweep, the matrix
+//!   fan-out, and table formatting.
 //!
 //! Example: `cargo run --release --bin afraid-cli -- paper table2 --secs
 //! 1800` (every simulated artifact defaults to 600 s traces; the

@@ -15,10 +15,9 @@
 //! workload preset under the policies of [`harness::policy_sweep`].
 //! [`render`] runs the [`Matrix`] once, with just the columns the
 //! requested artifacts read, and each renderer picks its columns by
-//! policy name. `afraid-cli sweep` prints the same matrix raw, so the
-//! two share cells and cell-cache keys. A workload whose trace is
-//! empty prints as "no requests" and is left out of every geometric
-//! mean.
+//! policy name. `afraid-cli sweep` prints the same matrix raw. A
+//! workload whose trace is empty prints as "no requests" and is left
+//! out of every geometric mean.
 
 use std::io::{self, Write};
 
@@ -31,6 +30,7 @@ use afraid_avail::power::{mttdl_power, MTTF_MAINS, MTTF_UPS};
 use afraid_avail::support::SupportModel;
 use afraid_avail::{mdlr, mttdl};
 use afraid_disk::model::DiskModel;
+use afraid_exp::map_parallel;
 use afraid_sim::stats::geometric_mean;
 use afraid_sim::time::{SimDuration, SimTime};
 use afraid_trace::record::{IoRecord, ReqKind, Trace};
@@ -113,10 +113,10 @@ pub struct Matrix {
 }
 
 impl Matrix {
-    /// Simulates (or replays from the cache) every cell, once.
+    /// Simulates every cell, once.
     pub fn run(policies: Vec<(String, ParityPolicy)>, setup: &Setup) -> Matrix {
         let kinds = WorkloadKind::all();
-        let rows = harness::run_cells_cached(setup, &kinds, TRACE_CAPACITY, &policies);
+        let rows = harness::run_cells(setup, &kinds, TRACE_CAPACITY, &policies);
         Matrix {
             duration: setup.duration,
             seed: setup.seed,
@@ -152,13 +152,20 @@ impl Matrix {
     }
 }
 
-/// Renders `artifacts` in order, under `== name ==` headers when there
-/// is more than one, then the cache counters if a cache is in use.
-pub fn render(artifacts: &[Artifact], setup: &Setup, out: &mut dyn Write) -> io::Result<()> {
-    let columns: Vec<_> = harness::policy_sweep()
+/// The matrix columns `artifacts` read, in [`harness::policy_sweep`]
+/// order, each once: [`render`] runs one [`Matrix`] of exactly these,
+/// so every cell any artifact needs is simulated once.
+pub fn columns(artifacts: &[Artifact]) -> Vec<(String, ParityPolicy)> {
+    harness::policy_sweep()
         .into_iter()
         .filter(|(name, _)| artifacts.iter().any(|a| a.reads(name)))
-        .collect();
+        .collect()
+}
+
+/// Renders `artifacts` in order, under `== name ==` headers when there
+/// is more than one.
+pub fn render(artifacts: &[Artifact], setup: &Setup, out: &mut dyn Write) -> io::Result<()> {
+    let columns = columns(artifacts);
     let matrix = (!columns.is_empty()).then(|| Matrix::run(columns, setup));
     let m = || matrix.as_ref().expect("a matrix artifact was requested");
     for &artifact in artifacts {
@@ -175,9 +182,6 @@ pub fn render(artifacts: &[Artifact], setup: &Setup, out: &mut dyn Write) -> io:
             Artifact::Fig4 => fig4(m(), out)?,
             Artifact::Ablation => ablation::render(setup, out)?,
         }
-    }
-    if let Some(c) = setup.cache {
-        writeln!(out, "{}", c.stats().summary())?;
     }
     Ok(())
 }
@@ -215,28 +219,17 @@ fn fig1(setup: &Setup, out: &mut dyn Write) -> io::Result<()> {
     )?;
     let cap = TRACE_CAPACITY;
     let designs = harness::headline_designs();
-    let results = harness::run_variants_cached(
-        setup.jobs,
-        &designs,
-        setup.cache,
-        |c, (_, policy)| {
-            // The synthetic one-write trace has no seed or duration;
-            // its shape is fully described by the name and size below.
-            let cfg = ArrayConfig::paper_default(*policy);
-            harness::cell_key(c, &cfg, "fig1-small-write-8k", cap, SimDuration::ZERO, 0)
-        },
-        |(_, policy)| {
-            let mut trace = Trace::new("small-write", cap);
-            trace.push(IoRecord {
-                time: SimTime::ZERO,
-                offset: 0,
-                bytes: 8 * 1024,
-                kind: ReqKind::Write,
-            });
-            let cfg = ArrayConfig::paper_default(*policy);
-            run_trace(&cfg, &trace, &RunOptions::default())
-        },
-    );
+    let results = map_parallel(setup.jobs, &designs, |_, (_, policy)| {
+        let mut trace = Trace::new("small-write", cap);
+        trace.push(IoRecord {
+            time: SimTime::ZERO,
+            offset: 0,
+            bytes: 8 * 1024,
+            kind: ReqKind::Write,
+        });
+        let cfg = ArrayConfig::paper_default(*policy);
+        run_trace(&cfg, &trace, &RunOptions::default())
+    });
     for ((name, _), r) in designs.iter().zip(&results) {
         let io = r.metrics.io;
         writeln!(

@@ -38,6 +38,7 @@ use afraid::raid6;
 use afraid_avail::params::ModelParams;
 use afraid_disk::model::DiskModel;
 use afraid_disk::sched::Policy;
+use afraid_exp::map_parallel;
 use afraid_sim::time::SimDuration;
 use afraid_trace::record::Trace;
 use afraid_trace::workloads::{WorkloadKind, WorkloadSpec};
@@ -63,16 +64,9 @@ fn study<V: Copy + Sync>(
         tweak(&mut cfg, v);
         cfg
     };
-    let results = harness::run_variants_cached(
-        setup.jobs,
-        &cells,
-        setup.cache,
-        |c, &(ki, v)| {
-            let name = KINDS[ki].name();
-            harness::cell_key(c, &cfg(v), name, TRACE_CAPACITY, setup.duration, setup.seed)
-        },
-        |&(ki, v)| run_trace(&cfg(v), &traces[ki], &RunOptions::default()),
-    );
+    let results = map_parallel(setup.jobs, &cells, |_, &(ki, v)| {
+        run_trace(&cfg(v), &traces[ki], &RunOptions::default())
+    });
     cells
         .into_iter()
         .zip(results)
@@ -147,7 +141,7 @@ pub(super) fn render(setup: &Setup, out: &mut dyn Write) -> io::Result<()> {
         cfg.mark_granularity = MarkGranularity::rows(bits);
     });
     // Marking memory size is a pure function of the config, so it is
-    // derived at print time rather than carried through the cache.
+    // derived at print time.
     let cfg = ArrayConfig::paper_default(ParityPolicy::IdleOnly);
     let stripes = cfg.disk_model.geometry.capacity_sectors() / 16;
     for (kind, bits, r) in marks {
@@ -169,31 +163,12 @@ pub(super) fn render(setup: &Setup, out: &mut dyn Write) -> io::Result<()> {
         "4. Parity-logging comparator [Stodolsky93]",
         "workload    paritylog ms      afraid ms   flushes   replays",
     )?;
-    let cells: Vec<usize> = (0..KINDS.len()).collect();
-    let results = harness::run_variants_cached(
-        setup.jobs,
-        &cells,
-        setup.cache,
-        |c, &ki| {
-            // Salted: the payload is a (parity-log, AFRAID) pair, not a
-            // plain RunResult, and the log knobs are extra coordinates.
-            c.key_builder()
-                .str("ablation4-paritylog-pair")
-                .str(&format!("{:?}", ParityLogConfig::default()))
-                .u64(seed)
-                .str(KINDS[ki].name())
-                .u64(TRACE_CAPACITY)
-                .f64(secs)
-                .str(&cfg.cache_encoding())
-                .finish()
-        },
-        |&ki| {
-            let pl = run_parity_logging(&cfg, &ParityLogConfig::default(), &traces[ki])
-                .expect("the paper's array config is valid");
-            let af = run_trace(&cfg, &traces[ki], &RunOptions::default());
-            (pl, af)
-        },
-    );
+    let results = map_parallel(setup.jobs, &traces, |_, trace| {
+        let pl = run_parity_logging(&cfg, &ParityLogConfig::default(), trace)
+            .expect("the paper's array config is valid");
+        let af = run_trace(&cfg, trace, &RunOptions::default());
+        (pl, af)
+    });
     for (kind, (pl, af)) in KINDS.iter().zip(&results) {
         writeln!(
             out,
@@ -240,7 +215,7 @@ pub(super) fn render(setup: &Setup, out: &mut dyn Write) -> io::Result<()> {
     ];
     // Regenerate the trace against each array's capacity (older disks
     // are smaller), then fan all (model, design) cells out together.
-    let model_traces = afraid_exp::map_parallel(setup.jobs, &models, |_, model| {
+    let model_traces = map_parallel(setup.jobs, &models, |_, model| {
         let unit_sectors = 8192 / 512;
         let stripes = model.geometry.capacity_sectors() / unit_sectors;
         let capacity = (stripes * 4 * 8192).min(TRACE_CAPACITY);
@@ -250,34 +225,12 @@ pub(super) fn render(setup: &Setup, out: &mut dyn Write) -> io::Result<()> {
     let cells: Vec<(usize, usize)> = (0..models.len())
         .flat_map(|mi| (0..designs.len()).map(move |di| (mi, di)))
         .collect();
-    let model_cfg = |mi: usize, di: usize| {
+    let means = map_parallel(setup.jobs, &cells, |_, &(mi, di)| {
         let mut cfg = ArrayConfig::paper_default(designs[di].1);
         cfg.disk_model = models[mi].clone();
-        cfg
-    };
-    let means = harness::run_variants_cached(
-        setup.jobs,
-        &cells,
-        setup.cache,
-        |c, &(mi, di)| {
-            // Salted: the payload is a bare mean, not a RunResult, and
-            // the trace capacity is re-derived from the disk model the
-            // same way model_traces generated it.
-            c.key_builder()
-                .str("ablation6-mean-io-ms")
-                .u64(seed)
-                .str(WorkloadKind::Att.name())
-                .u64(model_traces[mi].capacity)
-                .f64(secs)
-                .str(&model_cfg(mi, di).cache_encoding())
-                .finish()
-        },
-        |&(mi, di)| {
-            let cfg = model_cfg(mi, di);
-            let r = run_trace(&cfg, &model_traces[mi], &RunOptions::default());
-            r.metrics.mean_io_ms
-        },
-    );
+        let r = run_trace(&cfg, &model_traces[mi], &RunOptions::default());
+        r.metrics.mean_io_ms
+    });
     for (model, row) in models.iter().zip(means.chunks(designs.len())) {
         let (raid0, afraid, raid5) = (row[0], row[1], row[2]);
         let speedup = raid5 / afraid;

@@ -20,9 +20,8 @@
 //!
 //! A sweep replays its trace once per worker, not once per cut:
 //! [`afraid::driver::run_to_cuts`] captures a chunk of sorted cuts in
-//! one pass, chunks fan out through [`afraid_exp::map_parallel`]
-//! (bit-identical at any `--jobs`), and [`afraid_exp::CellCache`]
-//! memoises a whole sweep as one entry.
+//! one pass, and chunks fan out through [`afraid_exp::map_parallel`]
+//! (bit-identical at any `--jobs`).
 //!
 //! The scenarios ([`scenario::Scenario`]) aim the cuts at the states
 //! the paper's failure-mode table worries about: mid-scrub, mid-

@@ -4,18 +4,17 @@
 //! and capturing the crash state at a cut leaves the run intact, so a
 //! sweep steps one replay through its sorted cuts instead of replaying
 //! from event 0 per cut. `--jobs` splits the cut list into contiguous
-//! chunks, one replay each, with bit-identical output at any count; the
-//! cross-run cell cache memoises a whole sweep as one entry.
+//! chunks, one replay each, with bit-identical output at any count.
 
-use afraid_exp::{map_parallel, CellCache};
+use afraid_exp::map_parallel;
 use afraid_trace::record::Trace;
 use serde::{Deserialize, Serialize};
 
 use crate::scenario::ChaosSpec;
 use crate::verdict::CutVerdict;
 
-/// Cache schema tag for chaos sweeps. Bump when the verdict shape
-/// or the recovery semantics change.
+/// Schema tag of the serialized [`CutVerdict`]. Bump when the verdict
+/// shape or the recovery semantics change.
 /// v2: silent-corruption injection, the power-on checksum cross-check,
 /// and the corruption fields in [`CutVerdict`].
 pub const CHAOS_SCHEMA: &str = "afraid-chaos-cut-v2";
@@ -44,44 +43,15 @@ pub fn cut_points(total_events: u64, n: usize) -> Vec<u64> {
     cuts
 }
 
-/// Runs (or replays from cache) the verdicts for every cut, in input
-/// order: the sorted `cuts` split into `jobs` contiguous chunks, one
-/// replay each. The cache entry is keyed by every coordinate that can
-/// change a verdict, down to the config encoding and the cut list.
-pub fn sweep(
-    spec: &ChaosSpec,
-    trace: &Trace,
-    cuts: &[u64],
-    jobs: usize,
-    cache: Option<&CellCache>,
-) -> Vec<CutVerdict> {
-    let run = || {
-        let size = cuts.len().div_ceil(jobs.max(1)).max(1);
-        let chunks: Vec<&[u64]> = cuts.chunks(size).collect();
-        map_parallel(jobs, &chunks, |_, chunk| spec.run_cuts(trace, chunk))
-            .into_iter()
-            .flatten()
-            .collect()
-    };
-    let Some(cache) = cache else {
-        return run();
-    };
-    let mut key = cache
-        .key_builder()
-        .str("chaos-sweep")
-        .str(spec.scenario.name())
-        .str(&spec.cfg.cache_encoding())
-        .str(&format!("{:?}", spec.opts))
-        .str(&trace.name)
-        .f64(spec.duration.as_secs_f64())
-        .u64(spec.seed)
-        .u64(spec.kill_disk_at_cut.map_or(u64::MAX, u64::from))
-        .u64(u64::from(spec.kill_nvram_at_cut))
-        .u64(cuts.len() as u64);
-    for &cut in cuts {
-        key = key.u64(cut);
-    }
-    cache.run_cached(&key.finish(), run)
+/// Runs the verdicts for every cut, in input order: the sorted `cuts`
+/// split into `jobs` contiguous chunks, one replay each.
+pub fn sweep(spec: &ChaosSpec, trace: &Trace, cuts: &[u64], jobs: usize) -> Vec<CutVerdict> {
+    let size = cuts.len().div_ceil(jobs.max(1)).max(1);
+    let chunks: Vec<&[u64]> = cuts.chunks(size).collect();
+    map_parallel(jobs, &chunks, |_, chunk| spec.run_cuts(trace, chunk))
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// Aggregate of one scenario's sweep, for reports and CI gates.

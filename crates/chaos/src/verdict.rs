@@ -45,8 +45,8 @@ use afraid::recovery::{touched_rows, CrashImage, LostUnit, RecoveryOutcome};
 use afraid_sim::time::SimTime;
 use serde::{Deserialize, Serialize};
 
-/// The judged result of one cut. Serialisable and bit-stable: this is
-/// the cell payload the cross-run cache memoises.
+/// The judged result of one cut. Serialisable and bit-stable: `chaos
+/// --json` and the golden cut verdict compare it byte for byte.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CutVerdict {
     /// Requested cut point (events to process before the power cut).

@@ -223,9 +223,9 @@ struct ActiveReq {
     writes: Vec<PlannedIo>,
     /// Data-unit shadow updates, applied at write-phase issue.
     shadow_writes: Vec<(u64, u32, ShadowMode)>,
-    /// Marked stripes a reconstruct-write refreshes, with their epoch
-    /// at planning: the mark clears once the writes land, unless
-    /// another write re-dirtied the stripe mid-flight.
+    /// Marked stripes a reconstruct-write refreshes, with their hold's
+    /// mark generation at planning: the mark clears once the writes
+    /// land, unless the stripe was marked again mid-flight.
     clear_marks: Vec<(u64, u32)>,
     /// Stripes this write holds a "writing" reference on.
     stripes_held: Vec<u64>,
@@ -233,6 +233,16 @@ struct ActiveReq {
     /// known-bad scar fast-fails): verify-on-read has nothing to
     /// check and must not consume bit-flip draws.
     skip_verify: bool,
+}
+
+/// A stripe's "writing" hold: its in-flight client writes, and a mark
+/// generation bumped whenever the stripe is marked while held (or the
+/// marking memory fails). A reconstruct-write plans against the
+/// generation and clears the mark at completion only if it is unchanged.
+#[derive(Clone, Copy, Debug, Default)]
+struct Hold {
+    writes: u32,
+    marks: u32,
 }
 
 /// How a data write affects the shadow parity.
@@ -333,10 +343,8 @@ pub struct Controller {
     next_batch_id: u64,
     /// Requests admitted but blocked on a scrub-locked stripe.
     blocked: Vec<u32>,
-    /// Per-stripe count of in-flight client writes.
-    writing: FxHashMap<u64, u32>,
-    /// Per-stripe mark epoch, bumped on every marking.
-    epochs: Vec<u32>,
+    /// Stripes with in-flight client writes.
+    writing: FxHashMap<u64, Hold>,
     pub(crate) metrics: MetricsBuilder,
     shadow: Option<ShadowArray>,
     /// Per-unit checksum map and corruption registry, when the
@@ -496,7 +504,6 @@ impl Controller {
             host_q: Scheduler::new(cfg.host_policy),
             idle: IdleDetector::new(cfg.idle_delay),
             read_cache: ReadCache::new(cfg.read_cache_bytes, cfg.stripe_unit_bytes),
-            epochs: vec![0; layout.stripes() as usize],
             layout,
             disks,
             marks,
@@ -907,7 +914,11 @@ impl Controller {
             let group = slices.get(start..stop).unwrap_or(&[]);
             start = stop;
             stripes_held.push(stripe);
-            *self.writing.entry(stripe).or_insert(0) += 1;
+            let hold = self.writing.entry(stripe).or_default();
+            hold.writes += 1;
+            // Nothing below marks this stripe before a reconstruct-write
+            // records the generation it plans against.
+            let planned_marks = hold.marks;
 
             // Region overrides (paper §5): a region may pin a stripe to
             // RAID 5 or RAID 0 semantics regardless of the policy.
@@ -1027,7 +1038,7 @@ impl Controller {
                     }
                 }
                 if self.marks.is_marked(stripe) {
-                    clear_marks.push((stripe, self.epoch(stripe)));
+                    clear_marks.push((stripe, planned_marks));
                 }
                 ShadowMode::Rebuild
             };
@@ -1222,14 +1233,21 @@ impl Controller {
             self.read_cache.insert(req.offset, req.bytes);
         }
 
-        for &(stripe, epoch) in &req.clear_marks {
-            if self.epoch(stripe) == epoch {
+        // This request's own holds keep each entry alive until the
+        // release below, so a generation it planned against is still
+        // the one a later marking would have bumped.
+        for &(stripe, planned) in &req.clear_marks {
+            if self
+                .writing
+                .get(&stripe)
+                .is_some_and(|h| h.marks == planned)
+            {
                 self.clear_mark(stripe);
             }
         }
         for stripe in &req.stripes_held {
             match self.writing.get_mut(stripe) {
-                Some(c) if *c > 1 => *c -= 1,
+                Some(h) if h.writes > 1 => h.writes -= 1,
                 Some(_) => {
                     self.writing.remove(stripe);
                 }
@@ -1525,18 +1543,6 @@ impl Controller {
     )]
     fn disk_mut(&mut self, disk: u32) -> &mut Disk {
         &mut self.disks[disk as usize]
-    }
-
-    /// Per-stripe mark epoch (0 for out-of-range stripes, which cannot
-    /// occur for stripes produced by [`Layout`]).
-    fn epoch(&self, stripe: u64) -> u32 {
-        self.epochs.get(stripe as usize).copied().unwrap_or(0)
-    }
-
-    fn bump_epoch(&mut self, stripe: u64) {
-        if let Some(e) = self.epochs.get_mut(stripe as usize) {
-            *e = e.wrapping_add(1);
-        }
     }
 
     /// Flight accessor. `IoDone`/`IoRetry` events are scheduled only
@@ -1902,7 +1908,9 @@ impl Controller {
             .mark_rows(stripe, self.layout.unit_bytes(), from_byte, to_byte);
         let after = self.marks.row_mask(stripe);
         if after != before {
-            self.bump_epoch(stripe);
+            if let Some(h) = self.writing.get_mut(&stripe) {
+                h.marks = h.marks.wrapping_add(1);
+            }
             self.push_lag();
         }
     }
@@ -2643,8 +2651,8 @@ impl Controller {
         // continued use"). An array with nothing to sweep is
         // reprotected at once.
         self.cfg.regions.fail_nvram(&mut self.marks);
-        for e in &mut self.epochs {
-            *e = e.wrapping_add(1);
+        for h in self.writing.values_mut() {
+            h.marks = h.marks.wrapping_add(1);
         }
         self.push_lag();
         if self.marks.marked_count() == 0 {

@@ -19,12 +19,8 @@
 //!
 //! The engine is generic over the cell function: `crates/bench` feeds
 //! it full simulation runs, while unit tests feed it toy closures.
-//!
-//! Because the clippy gate (see `clippy.toml`) keeps each cell a pure
-//! function of its coordinates, results can also be memoised *across*
-//! runs: [`cache::CellCache`] hashes the full coordinates with the fixed
-//! [`afraid_sim::hash`] hasher and replays serialized results
-//! bit-identically from `target/cell-cache/`.
+//! [`cache::CellCache`] is a validated payload store that only the
+//! repository benchmark's `cache.*` layer metrics time.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![deny(clippy::panic, clippy::unimplemented)]

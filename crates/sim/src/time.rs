@@ -312,9 +312,9 @@ impl Sum for SimDuration {
 impl fmt::Debug for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // The human-scale `Display` form rounds to three decimals,
-        // which merges values closer than its precision. Debug output
-        // feeds `ArrayConfig::cache_encoding()`, so it must be
-        // injective: append the raw count.
+        // which merges values closer than its precision. A failed
+        // `assert_eq!` on two such values would print them alike, so
+        // Debug appends the raw count.
         write!(f, "SimTime({self} = {}ns)", self.0)
     }
 }
@@ -327,8 +327,8 @@ impl fmt::Display for SimTime {
 
 impl fmt::Debug for SimDuration {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Same injectivity requirement as `SimTime`'s Debug: the
-        // rounded Display form alone would collide in the cache key.
+        // As `SimTime`'s Debug: the rounded Display form alone would
+        // print distinct durations alike.
         write!(f, "SimDuration({self} = {}ns)", self.0)
     }
 }
@@ -405,8 +405,8 @@ mod tests {
 
     #[test]
     fn debug_is_injective_at_one_nanosecond() {
-        // Debug feeds ArrayConfig::cache_encoding(): values the rounded
-        // Display form merges must still get distinct cache keys.
+        // Values the rounded Display form merges must still print
+        // apart in assertion messages.
         let (t, d) = (SimTime::from_millis(1), SimDuration::from_millis(1));
         assert_eq!(
             format!("{t}"),

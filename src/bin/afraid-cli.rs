@@ -7,7 +7,7 @@
 //! afraid-cli sweep --secs 120 --jobs 4
 //! afraid-cli paper all --secs 1800
 //! afraid-cli chaos --scenario rebuild --cuts 500 --jobs 4
-//! afraid-cli integrity --secs 60 --cache
+//! afraid-cli integrity --secs 60
 //! afraid-cli workloads
 //! afraid-cli policies
 //! ```

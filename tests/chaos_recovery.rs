@@ -28,7 +28,7 @@ fn assert_all_pass(scenario: Scenario, secs: u64, n_cuts: usize) -> afraid_chaos
         scenario.name()
     );
     let cuts = cut_points(total, n_cuts);
-    let verdicts = sweep(&spec, &trace, &cuts, 1, None);
+    let verdicts = sweep(&spec, &trace, &cuts, 1);
     let s = summarize(scenario.name(), &verdicts);
     assert_eq!(
         s.failed,
@@ -135,7 +135,7 @@ fn thousand_cut_acceptance_sweep() {
         let total = spec.total_events(&trace);
         let cuts = cut_points(total, 1000);
         let jobs = afraid_exp::default_jobs();
-        let verdicts = sweep(&spec, &trace, &cuts, jobs, None);
+        let verdicts = sweep(&spec, &trace, &cuts, jobs);
         let s = summarize(scenario.name(), &verdicts);
         assert!(
             s.cuts >= 1000,
@@ -167,9 +167,9 @@ fn sweep_is_bit_identical_across_jobs() {
         let trace = spec.trace();
         let total = spec.total_events(&trace);
         let cuts = cut_points(total, 48);
-        let seq = serde_json::to_string(&sweep(&spec, &trace, &cuts, 1, None)).unwrap();
+        let seq = serde_json::to_string(&sweep(&spec, &trace, &cuts, 1)).unwrap();
         for jobs in [2, 3, 4] {
-            let par = serde_json::to_string(&sweep(&spec, &trace, &cuts, jobs, None)).unwrap();
+            let par = serde_json::to_string(&sweep(&spec, &trace, &cuts, jobs)).unwrap();
             assert_eq!(
                 seq, par,
                 "{scenario:?}: jobs=1 vs jobs={jobs} sweeps diverged"

@@ -42,19 +42,6 @@ pub fn panics(v: &[u32], o: Option<u32>, r: Result<u32, ()>) -> u32 {
     a + b + c + d
 }
 
-pub struct Config {
-    pub seed: u64,
-    pub unsalted: u32,
-}
-
-/// A cache key must bind every config field; one left out of the
-/// encoding is an unused binding.
-#[warn(unused_variables)]
-pub fn cache_encoding(c: &Config) -> String {
-    let Config { seed, unsalted } = c; // fires d5: unused_variables
-    format!("{seed}")
-}
-
 pub fn test_harness_branches() -> u32 {
     let mut x = 0;
     if cfg!(test) { // scanned: runtime cfg!(test)

@@ -104,11 +104,6 @@ fn canary_d3_flags_panic_risks() {
 }
 
 #[test]
-fn canary_d5_flags_a_field_left_out_of_the_cache_encoding() {
-    assert_canary_fires("d5", 1);
-}
-
-#[test]
 fn canary_d8_bans_static_mut_and_detached_spawn() {
     assert_canary_fires("d8", 2);
 }

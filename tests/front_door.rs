@@ -3,15 +3,10 @@
 //! `CliError` naming the flag (exit status 2), never a panic, a silent
 //! default or a silently changed run; the paper renderers survive
 //! empty traces; and `paper` simulates each matrix cell once.
-#![expect(clippy::disallowed_methods, reason = "tests use a real cache dir")]
-
-use std::path::PathBuf;
 
 use afraid_bench::cli::{self, CliError, Command};
-use afraid_bench::harness::{self, Setup, RESULT_SCHEMA};
-use afraid_bench::paper::{self, Artifact, Matrix};
-use afraid_exp::CellCache;
-use afraid_sim::time::SimDuration;
+use afraid_bench::harness;
+use afraid_bench::paper::{self, Artifact};
 use proptest::prelude::*;
 
 fn argv(line: &str) -> Vec<String> {
@@ -67,7 +62,16 @@ fn bad_values_exit_2_naming_the_flag() {
 
 #[test]
 fn usage_errors_exit_2() {
-    for line in ["", "frobnicate", "paper", "paper table9"] {
+    for line in [
+        "",
+        "frobnicate",
+        "paper",
+        "paper table9",
+        "sweep --cache",
+        "paper all --no-cache",
+        "chaos --cache",
+        "integrity --no-cache",
+    ] {
         assert!(matches!(cli::parse(&argv(line)), Err(CliError::Usage(_))));
         assert_eq!(cli::main(&argv(line), &mut Vec::new()), 2, "{line:?}");
     }
@@ -90,7 +94,7 @@ fn every_subcommand_reads_secs_the_same_way() {
         ("integrity", 60),
         ("chaos --secs 7 --jobs 3", 7),
         ("paper all --secs 1800", 1800),
-        ("sweep --secs 20 --full --cache", 20),
+        ("sweep --secs 20 --full", 20),
     ] {
         let common = match cli::parse(&argv(line)).expect(line) {
             Command::Integrity(c) => c,
@@ -127,15 +131,6 @@ fn paper_all_survives_an_empty_trace() {
 
 #[test]
 fn paper_simulates_each_matrix_cell_once() {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target/test-cell-cache-front-door");
-    let _ = std::fs::remove_dir_all(&dir);
-    let cache = CellCache::new(dir, RESULT_SCHEMA);
-    let setup = Setup {
-        duration: SimDuration::from_secs(5),
-        seed: 42,
-        jobs: 2,
-        cache: Some(&cache),
-    };
     let views = [
         Artifact::Table2,
         Artifact::Table3,
@@ -143,19 +138,22 @@ fn paper_simulates_each_matrix_cell_once() {
         Artifact::Fig3,
         Artifact::Fig4,
     ];
-    paper::render(&views, &setup, &mut Vec::new()).unwrap();
-    // A cold cache counts every lookup a miss: 10 workloads x 10
-    // policies, none of them asked for twice.
-    let stats = cache.stats();
-    assert_eq!((stats.misses, stats.hits), (100, 0));
-    // `sweep --full` runs the same matrix, so it replays every cell.
-    Matrix::run(harness::policy_sweep(), &setup);
-    assert_eq!(cache.stats().hits, 100);
+    // `render` runs one matrix of these columns for all five views: 10
+    // distinct policies, none of them asked for twice, the same columns
+    // `sweep --full` runs.
+    let names = |cols: Vec<(String, _)>| cols.into_iter().map(|(n, _)| n).collect::<Vec<_>>();
+    let columns = names(paper::columns(&views));
+    let distinct: std::collections::BTreeSet<_> = columns.iter().collect();
+    assert_eq!((columns.len(), distinct.len()), (10, 10), "{columns:?}");
+    assert_eq!(columns, names(harness::policy_sweep()));
+    // Artifacts that read no matrix column run no matrix.
+    let unmatrixed = [Artifact::Fig1, Artifact::Table1, Artifact::Ablation];
+    assert!(paper::columns(&unmatrixed).is_empty());
 }
 
 /// Tokens the argv property draws from: every subcommand and flag,
 /// plus values good and bad.
-const TOKENS: [&str; 42] = [
+const TOKENS: [&str; 40] = [
     "run",
     "sweep",
     "paper",
@@ -169,8 +167,6 @@ const TOKENS: [&str; 42] = [
     "--secs",
     "--seed",
     "--jobs",
-    "--cache",
-    "--no-cache",
     "--json",
     "--full",
     "--cuts",
