@@ -72,8 +72,9 @@ CHAOS OPTIONS:
 
 RUN OPTIONS:
     --workload <name>     workload preset (default: snake)
-    --policy <spec>       raid0 | afraid | raid5 | mttdl:<hours> |
-                          conservative:<bytes> (default: afraid)
+    --policy <spec>       raid0 | afraid | raid5 | paritylog |
+                          mttdl:<hours> | conservative:<bytes>
+                          (default: afraid)
     --disks <n>           spindles in the array (default: 5)
     --fail-disk <d>@<s>   fail disk d at s seconds
     --fail-nvram <s>      fail the marking memory at s seconds
@@ -451,6 +452,7 @@ pub fn execute(command: Command, out: &mut dyn Write) -> io::Result<bool> {
 raid0                unprotected striping (AFRAID that never scrubs)
 afraid               baseline AFRAID: defer parity to idle time
 raid5                traditional always-consistent RAID 5
+paritylog            RAID 5 that logs parity updates [Stodolsky93]
 mttdl:<hours>        keep achieved disk MTTDL above the target
 conservative:<bytes> start as RAID 5, defer once bursts fit the bound
 ",

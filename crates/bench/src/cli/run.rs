@@ -52,6 +52,7 @@ fn policy(flag: &str, raw: &str) -> Result<ParityPolicy, CliError> {
         "raid0" => return Ok(ParityPolicy::NeverRebuild),
         "afraid" => return Ok(ParityPolicy::IdleOnly),
         "raid5" => return Ok(ParityPolicy::AlwaysRaid5),
+        "paritylog" => return Ok(ParityPolicy::ParityLogging),
         _ => {}
     }
     if let Some(h) = raw.strip_prefix("mttdl:") {
@@ -72,7 +73,7 @@ fn policy(flag: &str, raw: &str) -> Result<ParityPolicy, CliError> {
     Err(bad(
         flag,
         raw,
-        "want raid0 | afraid | raid5 | mttdl:<hours> | conservative:<bytes>",
+        "want raid0 | afraid | raid5 | paritylog | mttdl:<hours> | conservative:<bytes>",
     ))
 }
 

@@ -40,8 +40,10 @@ pub struct ArrayConfig {
     pub read_cache_bytes: u64,
     /// Availability model parameters (used by `MttdlTarget`).
     pub params: ModelParams,
-    /// Maintain the shadow content model (verifies parity arithmetic;
-    /// costs a few MB and a little CPU).
+    /// Maintain the shadow content model (verifies parity arithmetic).
+    /// Not free: making every run keep it measured 1.23x the wall time
+    /// of `sweep --full` and 1.27x the CPU time of `paper all` on
+    /// 2 vCPUs, with peak RSS 15.5 -> 22.9 MB on the latter.
     pub shadow: bool,
     /// Per-region redundancy overrides (paper §5); empty = the whole
     /// array follows `policy`.

@@ -40,6 +40,13 @@
 //!   parity computed from the whole stripe. It clears the dead unit's
 //!   scar when the write covers it, and a stale stripe's mark once
 //!   the writes land.
+//! * **Parity log** \[Stodolsky93\] — a clean stripe with no dead disk
+//!   under [`WriteMode::ParityLog`] pre-reads the old data under each
+//!   slice and writes the new data, but neither reads nor writes the
+//!   parity: the update goes to an NVRAM log, so parity plus log stay a
+//!   full redundancy. A full log buffer is flushed to a log region on
+//!   disk, and a full region is replayed by log-replay batches. Every
+//!   other stripe takes the RAID 5 rule.
 //!
 //! The scrubber coalesces runs of adjacent dirty stripes into batches:
 //! one read per disk per contiguous extent, then one parity write per
@@ -102,6 +109,14 @@ const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(2);
 /// A failed disk I/O is not retried later than this after its first
 /// attempt.
 const REQUEST_DEADLINE: SimDuration = SimDuration::from_secs(10);
+
+/// Parity-log NVRAM buffer: it is flushed to the log region each time
+/// it fills.
+const LOG_BUFFER_BYTES: u64 = 64 * 1024;
+
+/// Parity-log region: it is handed to the log replay each time it
+/// fills. Two regions alternate, so logging carries on during a replay.
+const LOG_REGION_BYTES: u64 = 4 * 1024 * 1024;
 
 /// Which half of a torn write reaches the platter: the new payload's
 /// upper word half lands, the lower half keeps the old bytes.
@@ -166,8 +181,8 @@ pub enum Ev {
         /// Index of the condemned disk.
         disk: u32,
     },
-    /// A fire-and-forget repair write (read-error scrubbing)
-    /// completed; nothing depends on it.
+    /// A fire-and-forget write (a read-error repair or a parity-log
+    /// flush) completed; nothing depends on it.
     RepairIo,
 }
 
@@ -274,6 +289,10 @@ pub enum Job {
     /// Spare rebuild: read a stripe run from every survivor, write it
     /// onto the spare. Locks its stripes against client writes.
     Rebuild,
+    /// Parity-log replay: read a share of a full log region and the
+    /// parity of a run of logged stripes, then write their parity.
+    /// Locks its stripes against client writes.
+    LogReplay,
 }
 
 /// One in-flight background batch: a read phase, then a write phase
@@ -288,8 +307,8 @@ struct Batch {
     pending: u32,
     write_phase: bool,
     /// Stripes under an I/O that exhausted its retries. A failed scrub
-    /// stripe stays marked for a later pass; any failure makes a
-    /// rebuild batch redo itself.
+    /// stripe stays marked for a later pass, a failed replay stripe is
+    /// marked for one; any failure makes a rebuild batch redo itself.
     failed: Vec<u64>,
 }
 
@@ -318,6 +337,51 @@ struct Rebuild {
     stalled: bool,
 }
 
+/// Parity-logging state \[Stodolsky93\]: parity updates of logged
+/// writes not yet applied in place. Empty unless writes take
+/// [`WriteMode::ParityLog`].
+#[derive(Debug, Default)]
+struct ParityLog {
+    /// Bytes of update records in the NVRAM buffer, not yet flushed.
+    buffered: u64,
+    /// Buffer flushes to the region being filled.
+    flushes: Vec<PlannedIo>,
+    /// Which of the two regions is being filled.
+    region: u64,
+    /// Stripes with records in that region or the buffer, each with
+    /// the sector range of the parity rows its records update.
+    logged: BTreeMap<u64, (u64, u64)>,
+    /// Parity updates of full regions, in stripe order per region; the
+    /// front ones belong to the replay batch in flight.
+    replay: VecDeque<(u64, u64, u64)>,
+    /// Log extents of full regions not yet read back.
+    replay_log: VecDeque<PlannedIo>,
+}
+
+impl ParityLog {
+    /// Buffers the update record of a `bytes`-byte write to `stripe`
+    /// whose parity rows are the sectors `lo..hi`.
+    fn record(&mut self, stripe: u64, lo: u64, hi: u64, bytes: u64) {
+        self.buffered += bytes;
+        let rows = self.logged.entry(stripe).or_insert((lo, hi));
+        *rows = (rows.0.min(lo), rows.1.max(hi));
+    }
+
+    /// Hands the full region to the replay, which reads its flushes
+    /// back, and starts filling the other region.
+    fn seal(&mut self) {
+        let logged = std::mem::take(&mut self.logged);
+        self.replay
+            .extend(logged.into_iter().map(|(s, (lo, hi))| (s, lo, hi)));
+        let reads = self.flushes.drain(..).map(|io| PlannedIo {
+            cause: IoCause::ScrubRead,
+            ..io
+        });
+        self.replay_log.extend(reads);
+        self.region ^= 1;
+    }
+}
+
 /// The array controller plus its event state.
 pub struct Controller {
     cfg: ArrayConfig,
@@ -340,8 +404,9 @@ pub struct Controller {
     scrub: Option<Batch>,
     tour_batch: Option<Batch>,
     rebuild_batch: Option<Batch>,
+    replay_batch: Option<Batch>,
     next_batch_id: u64,
-    /// Requests admitted but blocked on a scrub-locked stripe.
+    /// Requests admitted but blocked on a batch-locked stripe.
     blocked: Vec<u32>,
     /// Stripes with in-flight client writes.
     writing: FxHashMap<u64, Hold>,
@@ -356,6 +421,8 @@ pub struct Controller {
     scrub_cursor: u64,
     /// Stripes requested by parity points, scrubbed ahead of the sweep.
     priority_scrub: VecDeque<u64>,
+    /// The parity log, when writes take [`WriteMode::ParityLog`].
+    plog: ParityLog,
     /// Conservative-policy burst accounting.
     burst_bytes_acc: f64,
     ewma_burst_bytes: f64,
@@ -517,6 +584,7 @@ impl Controller {
             scrub: None,
             tour_batch: None,
             rebuild_batch: None,
+            replay_batch: None,
             next_batch_id: 0,
             blocked: Vec::new(),
             writing: FxHashMap::default(),
@@ -526,6 +594,7 @@ impl Controller {
             version: 0,
             scrub_cursor: 0,
             priority_scrub: VecDeque::new(),
+            plog: ParityLog::default(),
             burst_bytes_acc: 0.0,
             ewma_burst_bytes: 0.0,
             degraded: None,
@@ -624,7 +693,7 @@ impl Controller {
     /// True if a background batch holds this stripe against client
     /// writes (tour batches never do).
     fn stripe_locked(&self, stripe: u64) -> bool {
-        [&self.scrub, &self.rebuild_batch]
+        [&self.scrub, &self.rebuild_batch, &self.replay_batch]
             .into_iter()
             .flatten()
             .any(|b| b.stripes.contains(&stripe))
@@ -647,6 +716,7 @@ impl Controller {
             Job::Scrub => &mut self.scrub,
             Job::Tour => &mut self.tour_batch,
             Job::Rebuild => &mut self.rebuild_batch,
+            Job::LogReplay => &mut self.replay_batch,
         }
     }
 
@@ -866,10 +936,13 @@ impl Controller {
 
     fn start_write(&mut self, rec: IoRecord) {
         let directives = self.evaluate_policy();
-        // Block behind an in-flight parity rebuild (scrub or rebuild
-        // batch) of any touched stripe. With neither batch in flight no
-        // stripe is locked, and the range is mapped once, to issue it.
-        if (self.scrub.is_some() || self.rebuild_batch.is_some()) && self.range_locked(rec) {
+        // Block behind an in-flight parity update (scrub, rebuild or
+        // replay batch) of any touched stripe. With no such batch in
+        // flight no stripe is locked, and the range is mapped once, to
+        // issue it.
+        if (self.scrub.is_some() || self.rebuild_batch.is_some() || self.replay_batch.is_some())
+            && self.range_locked(rec)
+        {
             let shell = self.take_shell(rec, Phase::PreRead);
             let slot = self.alloc_slot(shell);
             self.blocked.push(slot);
@@ -958,7 +1031,7 @@ impl Controller {
             // a silently stale parity).
             let data_only = match dead {
                 Some(_) => dead_unit.is_none(),
-                None => eff_mode != Some(WriteMode::Raid5),
+                None => matches!(eff_mode, None | Some(WriteMode::DataOnly)),
             };
             if data_only {
                 if dead.is_none() && eff_mode == Some(WriteMode::DataOnly) {
@@ -996,14 +1069,11 @@ impl Controller {
             let uncovered = (0..self.layout.data_units())
                 .filter(|&u| !covers(u))
                 .count();
-            let parity_rows = |cause| PlannedIo {
-                disk: self.layout.parity_disk(stripe),
-                lba: stripe_lba + lo,
-                sectors: hi - lo,
-                cause,
-            };
-            let shadow_mode = if clean && group.len() < uncovered {
-                // RMW: old data under each slice plus old parity.
+            let rmw = clean && group.len() < uncovered;
+            let logged = rmw && eff_mode == Some(WriteMode::ParityLog);
+            let shadow_mode = if rmw {
+                // RMW: old data under each slice plus old parity; a
+                // logged write appends the parity update to the log.
                 for s in group {
                     prereads.push(PlannedIo {
                         disk: s.disk,
@@ -1012,7 +1082,12 @@ impl Controller {
                         cause: IoCause::RmwPreRead,
                     });
                 }
-                prereads.push(parity_rows(IoCause::RmwPreRead));
+                if logged {
+                    let bytes = group.iter().map(|s| s.sectors * 512).sum();
+                    self.plog.record(stripe, lo, hi, bytes);
+                } else {
+                    prereads.push(self.parity_rows(stripe, lo, hi, IoCause::RmwPreRead));
+                }
                 ShadowMode::Incremental
             } else {
                 // Reconstruct-write: every uncovered unit but the dead
@@ -1028,7 +1103,7 @@ impl Controller {
                     }
                 }
                 if dead_unit.is_some_and(|u| !covers(u)) {
-                    prereads.push(parity_rows(IoCause::RmwPreRead));
+                    prereads.push(self.parity_rows(stripe, lo, hi, IoCause::RmwPreRead));
                 }
                 // A fully rewritten dead unit is well-defined again, and
                 // the recomputed parity clears a stale mark.
@@ -1045,7 +1120,9 @@ impl Controller {
             for s in group {
                 shadow_writes.push((stripe, s.unit, shadow_mode));
             }
-            writes.push(parity_rows(IoCause::ParityWrite));
+            if !logged {
+                writes.push(self.parity_rows(stripe, lo, hi, IoCause::ParityWrite));
+            }
         }
 
         self.scratch_slices = slices;
@@ -1059,6 +1136,19 @@ impl Controller {
             self.submit_batch(&mut prereads, Ev::ClientIo { req: slot });
         }
         self.scratch_ios = prereads;
+        if self.plog.buffered >= LOG_BUFFER_BYTES {
+            self.flush_log();
+        }
+    }
+
+    /// The I/O on `stripe`'s parity over the sector rows `lo..hi`.
+    fn parity_rows(&self, stripe: u64, lo: u64, hi: u64, cause: IoCause) -> PlannedIo {
+        PlannedIo {
+            disk: self.layout.parity_disk(stripe),
+            lba: self.layout.stripe_lba(stripe) + lo,
+            sectors: hi - lo,
+            cause,
+        }
     }
 
     fn issue_write_phase(&mut self, slot: u32) {
@@ -1979,6 +2069,7 @@ impl Controller {
                 Job::Scrub => self.plan_scrub_writes(&mut ios),
                 Job::Tour => self.plan_tour_repairs(&mut ios),
                 Job::Rebuild => self.plan_rebuild_write(&mut ios),
+                Job::LogReplay => self.plan_replay_writes(&mut ios),
             }
             if !ios.is_empty() {
                 if let Some(b) = self.slot(job) {
@@ -1997,6 +2088,7 @@ impl Controller {
             Job::Scrub => self.finish_scrub_batch(b),
             Job::Tour => self.finish_tour_batch(b),
             Job::Rebuild => self.finish_rebuild_batch(b),
+            Job::LogReplay => self.finish_replay_batch(b),
         }
     }
 
@@ -2450,9 +2542,10 @@ impl Controller {
     /// fails its checksum. Stripes whose *parity* lived on the dead disk
     /// stay marked until the rebuild sweep recomputes them.
     pub(crate) fn enter_degraded(&mut self, disk: u32) -> DataLossReport {
-        // Abandon every in-flight background batch: their remaining
-        // events are ignored as stale, and no new scrubs start while
-        // degraded.
+        // Abandon the scrub and rebuild batches: their remaining events
+        // are ignored as stale, and no new scrubs start while degraded.
+        // A parity-log replay carries on: logged stripes' parity stays
+        // current, and a replay I/O aimed at the dead disk fails fast.
         self.scrub = None;
         self.rebuild_batch = None;
         // A pending eviction settle is overtaken by this failure: with
@@ -2643,13 +2736,92 @@ impl Controller {
         self.arm_idle_timer(d.scrub_on_idle);
     }
 
+    // ------------------------------------------------------------------
+    // Parity logging
+    // ------------------------------------------------------------------
+
+    /// Flushes the NVRAM log buffer, one sequential fire-and-forget
+    /// write per buffer-full, and hands each full region to the replay.
+    /// A region's flushes go round-robin over the disks, each disk's
+    /// share of both regions at the end of its platter.
+    fn flush_log(&mut self) {
+        const BUFFER_SECTORS: u64 = LOG_BUFFER_BYTES / 512;
+        const REGION_FLUSHES: u64 = LOG_REGION_BYTES / LOG_BUFFER_BYTES;
+        let disks = u64::from(self.cfg.disks);
+        let share = REGION_FLUSHES.div_ceil(disks) * BUFFER_SECTORS;
+        let base = self
+            .cfg
+            .disk_model
+            .geometry
+            .capacity_sectors()
+            .saturating_sub(2 * share);
+        while self.plog.buffered >= LOG_BUFFER_BYTES {
+            self.plog.buffered -= LOG_BUFFER_BYTES;
+            let n = self.plog.flushes.len() as u64;
+            let io = PlannedIo {
+                disk: (n % disks) as u32,
+                lba: base + self.plog.region * share + n / disks * BUFFER_SECTORS,
+                sectors: BUFFER_SECTORS,
+                cause: IoCause::ScrubWrite,
+            };
+            self.plog.flushes.push(io);
+            self.submit(io, Ev::RepairIo);
+            if n + 1 == REGION_FLUSHES {
+                self.plog.seal();
+                self.replay_next_batch();
+            }
+        }
+    }
+
+    /// Issues the next replay batch: the next scrub batch's worth of
+    /// logged stripes, their parity and an even share of the log still
+    /// to be read.
+    fn replay_next_batch(&mut self) {
+        let queued = self.plog.replay.len();
+        if self.replay_batch.is_some() || queued == 0 {
+            return;
+        }
+        let run = queued.min(self.cfg.scrub_batch as usize);
+        let log_reads = self.plog.replay_log.len().div_ceil(queued.div_ceil(run));
+        let mut ios = std::mem::take(&mut self.scratch_ios);
+        ios.extend(self.plog.replay_log.drain(..log_reads));
+        let mut stripes = Vec::with_capacity(run);
+        for &(s, lo, hi) in self.plog.replay.iter().take(run) {
+            stripes.push(s);
+            ios.push(self.parity_rows(s, lo, hi, IoCause::ScrubRead));
+        }
+        self.begin_batch(Job::LogReplay, stripes, &mut ios);
+        self.scratch_ios = ios;
+    }
+
+    /// Replay write phase: the batch's parity updates, applied in place.
+    fn plan_replay_writes(&self, ios: &mut Vec<PlannedIo>) {
+        let Some(b) = &self.replay_batch else { return };
+        for &(s, lo, hi) in self.plog.replay.iter().take(b.stripes.len()) {
+            ios.push(self.parity_rows(s, lo, hi, IoCause::ScrubWrite));
+        }
+    }
+
+    fn finish_replay_batch(&mut self, batch: Batch) {
+        self.plog.replay.drain(..batch.stripes.len());
+        // A replay I/O that exhausted its retries leaves the stripe's
+        // parity untrusted: it is marked for the scrubber.
+        for &s in &batch.failed {
+            self.mark_dirty(s, 0, self.layout.unit_bytes());
+        }
+        self.metrics.run.scrub_batches += 1;
+        self.restart_blocked();
+        self.replay_next_batch();
+    }
+
     fn on_nvram_failure(&mut self) {
         // Contents lost: conservatively treat every stripe that keeps
         // parity as unredundant and sweep the whole array ("the
         // recovery technique for a failed marking memory is simply to
         // rebuild parity for the whole array ... in parallel with
         // continued use"). An array with nothing to sweep is
-        // reprotected at once.
+        // reprotected at once. The parity log goes with the NVRAM: the
+        // sweep stands in for its replay.
         self.cfg.regions.fail_nvram(&mut self.marks);
         for h in self.writing.values_mut() {
             h.marks = h.marks.wrapping_add(1);
@@ -2657,6 +2829,10 @@ impl Controller {
         self.push_lag();
         if self.marks.marked_count() == 0 {
             self.reprotected_at = Some(self.now);
+        }
+        self.plog = ParityLog::default();
+        if self.replay_batch.take().is_some() {
+            self.restart_blocked();
         }
         self.start_scrub();
     }

@@ -35,8 +35,8 @@
 //! |---|---|
 //! | [`layout`] | left-symmetric RAID 5 striping |
 //! | [`nvram`] | the marking memory (dirty-stripe bitmap) |
-//! | [`policy`] | parity-update policies: the perf/availability dial |
-//! | [`controller`] | the event-driven array controller |
+//! | [`policy`] | parity-update policies: the perf/availability dial, and the parity-logging comparator \[Stodolsky93\] |
+//! | [`controller`] | the event-driven array controller, for every design the policies name |
 //! | [`driver`] | trace-driven runs |
 //! | [`metrics`] | per-run measurements |
 //! | [`faults`] | disk/NVRAM failure injection, latent sector errors, loss assessment |
@@ -49,7 +49,6 @@
 //! | [`recovery`] | post-failure rebuild time model |
 //! | [`regions`] | per-region redundancy overrides (paper §5) |
 //! | [`raid6`] | RAID 6 + AFRAID cost/availability models (paper §5) |
-//! | [`paritylog`] | parity-logging comparator \[Stodolsky93\] |
 //! | [`report`] | glue to the availability equations |
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
@@ -66,7 +65,6 @@ pub mod integrity;
 pub mod layout;
 pub mod metrics;
 pub mod nvram;
-pub mod paritylog;
 pub mod policy;
 pub mod raid6;
 pub mod recovery;

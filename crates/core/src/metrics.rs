@@ -29,13 +29,19 @@ pub enum IoCause {
     ClientRead,
     /// Client write of data units.
     ClientWrite,
-    /// Old-data / old-parity pre-read of a RAID 5 read-modify-write.
+    /// Old-data / old-parity pre-read of a RAID 5 read-modify-write,
+    /// and parity logging's old-data pre-read.
     RmwPreRead,
     /// Parity write in the client write path (RAID 5 mode).
     ParityWrite,
-    /// Background scrub read.
+    /// Background scrub read; also a parity-log replay's read of the
+    /// log and of the logged stripes' parity.
     ScrubRead,
-    /// Background scrub parity write.
+    /// Background scrub parity write; also a parity-log buffer flush
+    /// and a replay's parity write. Being background causes, a flush
+    /// whose retries run out only completes (a client-write cause
+    /// would mark whatever stripe the log's sectors fall in), and a
+    /// failed replay I/O is charged to its batch.
     ScrubWrite,
     /// Degraded-mode read of survivors to reconstruct a lost unit.
     ReconstructRead,
@@ -88,9 +94,9 @@ pub struct IoBreakdown {
     pub rmw_pre_read: u64,
     /// Foreground parity writes.
     pub parity_write: u64,
-    /// Scrub reads.
+    /// Scrub reads (and parity-log replay reads).
     pub scrub_read: u64,
-    /// Scrub parity writes.
+    /// Scrub parity writes (and parity-log flushes and replay writes).
     pub scrub_write: u64,
     /// Degraded-mode reconstruct reads.
     pub reconstruct_read: u64,
@@ -341,7 +347,7 @@ pub struct RunMetrics {
     pub io: IoBreakdown,
     /// Array read-cache hits.
     pub read_cache_hits: u64,
-    /// Scrub batches executed.
+    /// Scrub batches executed (parity-log replay batches included).
     pub scrub_batches: u64,
     /// Stripes made redundant by the scrubber.
     pub stripes_scrubbed: u64,

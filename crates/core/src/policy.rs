@@ -15,6 +15,9 @@
 //!   met; it also force-starts a scrub once more than
 //!   `FORCE_SCRUB_STRIPES` stripes are unprotected.
 //! * [`ParityPolicy::AlwaysRaid5`] — a traditional RAID 5.
+//! * [`ParityPolicy::ParityLogging`] — parity logging \[Stodolsky93\],
+//!   the paper's §2 comparator: a RAID 5 whose small writes pre-read
+//!   the old data but log the parity update instead of writing it.
 //! * [`ParityPolicy::Conservative`] — the §5 refinement: start as a
 //!   RAID 5 and switch into AFRAID behaviour once the observed burst
 //!   sizes show the redundancy deficit would stay below a bound.
@@ -42,6 +45,9 @@ pub enum WriteMode {
     /// RAID 5: read-modify-write (or reconstruct-write) keeping parity
     /// consistent in the critical path.
     Raid5,
+    /// Parity logging: pre-read the old data, write the new data, and
+    /// append the parity update to a log replayed in bulk later.
+    ParityLog,
 }
 
 /// The configured parity-update policy.
@@ -58,6 +64,8 @@ pub enum ParityPolicy {
     },
     /// Traditional RAID 5: parity always consistent.
     AlwaysRaid5,
+    /// Parity logging \[Stodolsky93\]: parity plus log always consistent.
+    ParityLogging,
     /// Start as RAID 5; switch to AFRAID once bursts are observed to
     /// keep the deficit below `lag_bound_bytes`; fall back if the
     /// actual lag ever exceeds twice the bound.
@@ -138,9 +146,13 @@ impl PolicyEngine {
                 scrub_now: false,
                 scrub_on_idle: true,
             },
-            ParityPolicy::AlwaysRaid5 => Directives {
-                write_mode: WriteMode::Raid5,
-                // A RAID 5 never has dirty stripes of its own, but if
+            ParityPolicy::AlwaysRaid5 | ParityPolicy::ParityLogging => Directives {
+                write_mode: if self.policy == ParityPolicy::AlwaysRaid5 {
+                    WriteMode::Raid5
+                } else {
+                    WriteMode::ParityLog
+                },
+                // Neither design has dirty stripes of its own, but if
                 // the marking memory failed the recovery sweep still
                 // has to run.
                 scrub_now: obs.dirty_stripes > 0,

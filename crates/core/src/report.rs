@@ -9,12 +9,13 @@ use crate::metrics::RunMetrics;
 use crate::policy::ParityPolicy;
 
 /// The design kind an availability report should use for a policy:
-/// `NeverRebuild` is the RAID 0 model, `AlwaysRaid5` a RAID 5, and
-/// everything else is AFRAID.
+/// `NeverRebuild` is the RAID 0 model, `AlwaysRaid5` a RAID 5 (and so
+/// is `ParityLogging`, whose parity plus log is always a full
+/// redundancy), and everything else is AFRAID.
 pub fn design_kind(policy: ParityPolicy) -> DesignKind {
     match policy {
         ParityPolicy::NeverRebuild => DesignKind::Raid0,
-        ParityPolicy::AlwaysRaid5 => DesignKind::Raid5,
+        ParityPolicy::AlwaysRaid5 | ParityPolicy::ParityLogging => DesignKind::Raid5,
         _ => DesignKind::Afraid,
     }
 }
@@ -128,6 +129,7 @@ mod tests {
     fn kinds_map_correctly() {
         assert_eq!(design_kind(ParityPolicy::NeverRebuild), DesignKind::Raid0);
         assert_eq!(design_kind(ParityPolicy::AlwaysRaid5), DesignKind::Raid5);
+        assert_eq!(design_kind(ParityPolicy::ParityLogging), DesignKind::Raid5);
         assert_eq!(design_kind(ParityPolicy::IdleOnly), DesignKind::Afraid);
         assert_eq!(
             design_kind(ParityPolicy::MttdlTarget { target_hours: 1e6 }),

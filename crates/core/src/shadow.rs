@@ -362,7 +362,10 @@ impl DeltaRows {
     /// Panics if the coordinates are out of range.
     pub(crate) fn xor(&mut self, row: u64, col: usize, word: u64) {
         if word == 0 {
-            assert!(col < self.width && row < self.rows, "({row}, {col}) out of range");
+            assert!(
+                col < self.width && row < self.rows,
+                "({row}, {col}) out of range"
+            );
             return;
         }
         self.row_mut(row)[col] ^= word;
@@ -384,22 +387,23 @@ impl PartialEq for DeltaRows {
         let zero = |page: &[u64]| page.iter().all(|&w| w == 0);
         self.width == other.width
             && self.rows == other.rows
-            && self
-                .pages
-                .iter()
-                .zip(&other.pages)
-                .all(|(a, b)| match (a.as_deref(), b.as_deref()) {
+            && self.pages.iter().zip(&other.pages).all(|(a, b)| {
+                match (a.as_deref(), b.as_deref()) {
                     (Some(a), Some(b)) => a == b,
                     (Some(page), None) | (None, Some(page)) => zero(page),
                     (None, None) => true,
-                })
+                }
+            })
     }
 }
 
 impl Eq for DeltaRows {}
 
 /// The panic of an out-of-range row.
-#[expect(clippy::panic, reason = "an out-of-range row is a caller bug, as a slice index is")]
+#[expect(
+    clippy::panic,
+    reason = "an out-of-range row is a caller bug, as a slice index is"
+)]
 fn out_of_range(row: u64, rows: u64) -> ! {
     panic!("row {row} out of range ({rows} rows)")
 }
@@ -694,7 +698,11 @@ pub(crate) mod tests {
                     sparse.replace((i / width) as u64, i % width, w);
                 }
                 assert_eq!(paged, sparse);
-                assert!(sparse.pages.iter().flatten().all(|p| p.iter().any(|&w| w != 0)));
+                assert!(sparse
+                    .pages
+                    .iter()
+                    .flatten()
+                    .all(|p| p.iter().any(|&w| w != 0)));
             }
         }
         let mut d = DeltaRows::new(40, 5);

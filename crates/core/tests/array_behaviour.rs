@@ -595,3 +595,130 @@ fn never_protect_region_failure_accounted_separately() {
     );
     assert!(loss.declared_unprotected_units > 0);
 }
+
+/// Logical bytes of one `small_test` stripe: four 8 KB data units.
+const STRIPE: u64 = 4 * 8192;
+
+#[test]
+fn parity_logging_small_write_pre_reads_old_data_only() {
+    let r = run(
+        ParityPolicy::ParityLogging,
+        &[
+            // Two slices of stripe 0 (the back of unit 0, the front of
+            // unit 1), then one whole unit of stripe 1.
+            (0, 4096, 8192, ReqKind::Write),
+            (50, STRIPE, 8192, ReqKind::Write),
+        ],
+    );
+    let io = r.metrics.io;
+    assert_eq!(io.client_write, 3);
+    // One old-data pre-read per slice, no old parity and no parity
+    // write: the parity update went to the log.
+    assert_eq!(io.rmw_pre_read, 3);
+    assert_eq!(io.parity_write, 0);
+    // 16 KB of log stays in the 64 KB buffer: no flush, no replay.
+    assert_eq!(
+        (io.scrub_read, io.scrub_write, r.metrics.scrub_batches),
+        (0, 0, 0)
+    );
+    assert_eq!(r.metrics.frac_unprotected, 0.0);
+    // A full-stripe write keeps RAID 5's rule: parity from the new
+    // data, nothing pre-read and nothing logged.
+    let full = run(
+        ParityPolicy::ParityLogging,
+        &[(0, 0, STRIPE, ReqKind::Write)],
+    );
+    assert_eq!(full.metrics.io.rmw_pre_read, 0);
+    assert_eq!(full.metrics.io.parity_write, 1);
+}
+
+#[test]
+fn parity_logging_read_is_single_phase() {
+    // A read of a logged unit, and of one never written: each costs
+    // one disk access, and neither touches the log or the parity.
+    let r = run(
+        ParityPolicy::ParityLogging,
+        &[
+            (0, 0, 8192, ReqKind::Write),
+            (50, 0, 8192, ReqKind::Read),
+            (100, 2 * STRIPE, 8192, ReqKind::Read),
+        ],
+    );
+    let io = r.metrics.io;
+    assert_eq!((io.client_read, io.client_write), (2, 1));
+    assert_eq!((io.rmw_pre_read, io.parity_write), (1, 0));
+    assert_eq!((io.scrub_read, io.scrub_write), (0, 0));
+    assert_eq!(r.metrics.requests, 3);
+    assert!(r.metrics.mean_read_ms > 0.0);
+}
+
+/// `n` 8 KB writes, 20 ms apart, to the first unit of stripes `0..n`:
+/// eight fill the 64 KB log buffer, and 512 fill the 4 MB log region.
+fn logged_writes(n: u64) -> Vec<(u64, u64, u64, ReqKind)> {
+    (0..n)
+        .map(|i| (i * 20, i * STRIPE, 8192, ReqKind::Write))
+        .collect()
+}
+
+#[test]
+fn parity_log_region_replays_and_locks_its_stripes() {
+    use afraid::driver::run_to_cut;
+    let c = cfg(ParityPolicy::ParityLogging);
+    let t = trace_of(&logged_writes(600));
+    let opts = RunOptions::default();
+    let r = run_trace(&c, &t, &opts);
+    let m = &r.metrics;
+    // 600 writes: 75 buffer flushes; the first 64 fill the region,
+    // whose 512 stripes replay in batches of eight. Each batch reads
+    // one flush back and reads and writes its stripes' parity.
+    assert_eq!(m.scrub_batches, 64);
+    assert_eq!(m.io.scrub_write, 75 + 512);
+    assert_eq!(m.io.scrub_read, 64 + 512);
+    assert_eq!((m.io.rmw_pre_read, m.io.parity_write), (600, 0));
+    let end = run_to_cut(&c, &t, &opts, m.events_processed).image;
+    assert_eq!(end.marks.marked_count(), 0);
+    for stripe in 0..600 {
+        assert!(end.shadow.parity_consistent(stripe), "stripe {stripe}");
+    }
+
+    // The region fills at the 512th write, whose arrival starts the
+    // replay with stripes 0..8. A write to stripe 0 arriving at the
+    // same instant waits for that batch's read and write phases, each
+    // at least one access on the test disk; one to a stripe outside it
+    // only queues behind the replay's I/O.
+    let last = 511 * 20;
+    let probe = |offset: u64| {
+        let mut recs = logged_writes(512);
+        recs.push((last, offset, 8192, ReqKind::Write));
+        run(ParityPolicy::ParityLogging, &recs)
+    };
+    let base = run(ParityPolicy::ParityLogging, &logged_writes(512));
+    let total = |r: &RunResult| r.metrics.mean_write_ms * r.metrics.requests as f64;
+    let locked = total(&probe(0)) - total(&base);
+    let free = total(&probe(2000 * STRIPE)) - total(&base);
+    assert!(
+        locked > free + 10.0,
+        "write on a replaying stripe took {locked:.2} ms, elsewhere {free:.2} ms"
+    );
+}
+
+#[test]
+fn parity_logging_sits_between_afraid_and_raid5() {
+    use afraid_sim::time::SimDuration;
+    use afraid_trace::workloads::{WorkloadKind, WorkloadSpec};
+    let t = WorkloadSpec::preset(WorkloadKind::Att).generate(CAP, SimDuration::from_secs(30), 42);
+    let mean = |policy| {
+        run_trace(&cfg(policy), &t, &RunOptions::default())
+            .metrics
+            .mean_io_ms
+    };
+    let (afraid, plog, raid5) = (
+        mean(ParityPolicy::IdleOnly),
+        mean(ParityPolicy::ParityLogging),
+        mean(ParityPolicy::AlwaysRaid5),
+    );
+    assert!(
+        afraid < plog && plog < raid5,
+        "afraid {afraid:.2} ms, parity logging {plog:.2} ms, raid5 {raid5:.2} ms"
+    );
+}

@@ -18,18 +18,16 @@
 //!   whether idle-time parity rebuilding is free.
 //!
 //! The module layout: [`record`] defines the trace format, [`gen`] the
-//! generators, [`workloads`] the nine presets, and [`analysis`] the
-//! characterisation tools.
+//! generators, and [`workloads`] the nine presets. The
+//! `trace_explorer` example characterises the presets' burstiness.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 #![deny(clippy::panic, clippy::unimplemented)]
 
-pub mod analysis;
 pub mod gen;
 pub mod record;
 pub mod workloads;
 
-pub use analysis::TraceProfile;
 pub use gen::onoff::OnOffGenerator;
 pub use gen::spatial::SpatialModel;
 pub use record::{IoRecord, ReqKind, Trace};

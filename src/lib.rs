@@ -6,7 +6,7 @@
 //!
 //! * [`sim`] — deterministic discrete-event simulation kernel.
 //! * [`disk`] — calibrated disk model (Ruemmler-style, HP C3325 preset).
-//! * [`trace`] — synthetic workload generators and trace analysis.
+//! * [`trace`] — synthetic workload generators.
 //! * [`avail`] — the paper's availability mathematics (MTTDL, MDLR).
 //! * [`array`](mod@array) — the AFRAID array controller itself: layouts, policies,
 //!   marking memory, scrubber, failure injection, and the end-to-end

@@ -10,6 +10,10 @@
 //! An NVRAM failure must likewise mark, sweep and rebuild only the
 //! stripes that keep parity.
 //!
+//! Parity logging is judged the same way, over a run long enough to
+//! fill its log region and replay it; an NVRAM failure drops its log
+//! and falls back on the whole-array sweep.
+//!
 //! The trace seed honours `AFRAID_SEED` (default 42) so CI can sweep
 //! several seeds over the same invariants.
 
@@ -47,24 +51,30 @@ struct Tally {
     marked: u64,
     declared_lost: u64,
     truly_lost: u64,
+    /// Scrub and log-replay batches of the whole run.
+    batches: u64,
 }
 
-/// Cuts a 5 s Att run over `regions` at about 100 points, judges each
-/// cut plain, with disk 0 killed, and with the NVRAM and disk 2
-/// killed, and asserts that every verdict passes.
-fn assert_every_cut_recovers(regions: RegionMap) -> Tally {
-    let mut cfg = ArrayConfig::small_test(ParityPolicy::IdleOnly);
+/// Cuts a `secs`-second Att run of `policy` over `regions` at about
+/// 100 points, judges each cut plain, with disk 0 killed, and with the
+/// NVRAM and disk 2 killed, and asserts that every verdict passes.
+fn assert_every_cut_recovers(policy: ParityPolicy, regions: RegionMap, secs: u64) -> Tally {
+    let mut cfg = ArrayConfig::small_test(policy);
     cfg.regions = regions;
     let trace = WorkloadSpec::preset(WorkloadKind::Att).generate(
         2500 * 4 * 8192,
-        SimDuration::from_secs(5),
+        SimDuration::from_secs(secs),
         seed(),
     );
     let opts = RunOptions::default();
-    let total = run_trace(&cfg, &trace, &opts).metrics.events_processed;
+    let whole = run_trace(&cfg, &trace, &opts).metrics;
+    let total = whole.events_processed;
     assert!(total > 100, "degenerate trace ({total} events)");
     let cuts = cut_points(total, 100);
-    let mut tally = Tally::default();
+    let mut tally = Tally {
+        batches: whole.scrub_batches,
+        ..Tally::default()
+    };
     let mut failures = Vec::new();
     run_to_cuts(&cfg, &trace, &opts, &cuts, |run| {
         let cut = run.events_processed;
@@ -106,10 +116,14 @@ fn assert_every_cut_recovers(regions: RegionMap) -> Tally {
 /// stripes in one array.
 #[test]
 fn mixed_regions_recover_at_every_cut() {
-    let t = assert_every_cut_recovers(RegionMap::new(vec![
-        region(0, 500, RegionMode::NeverProtect),
-        region(1000, 500, RegionMode::AlwaysProtect),
-    ]));
+    let t = assert_every_cut_recovers(
+        ParityPolicy::IdleOnly,
+        RegionMap::new(vec![
+            region(0, 500, RegionMode::NeverProtect),
+            region(1000, 500, RegionMode::AlwaysProtect),
+        ]),
+        5,
+    );
     assert!(t.marked > 0, "no cut caught a dirty stripe: {t:?}");
     assert!(t.truly_lost > 0, "no cut lost a unit: {t:?}");
 }
@@ -118,21 +132,34 @@ fn mixed_regions_recover_at_every_cut() {
 /// declared lost, and no stripe is asked for parity.
 #[test]
 fn never_protected_array_recovers_at_every_cut() {
-    let t = assert_every_cut_recovers(RegionMap::new(vec![region(
-        0,
-        2500,
-        RegionMode::NeverProtect,
-    )]));
+    let t = assert_every_cut_recovers(
+        ParityPolicy::IdleOnly,
+        RegionMap::new(vec![region(0, 2500, RegionMode::NeverProtect)]),
+        5,
+    );
     assert_eq!(t.marked, 0, "never-protected stripes were marked: {t:?}");
     assert!(t.truly_lost > 0, "no cut lost a unit: {t:?}");
     assert!(t.declared_lost >= t.truly_lost, "{t:?}");
 }
 
-/// The NVRAM fails at 5 s of a 20 s Att run over `regions`. Returns
-/// the run, and whether some cut after the failure still had marks to
-/// sweep. Panics if any such cut has a never-protected stripe marked.
-fn nvram_failure_run(regions: RegionMap) -> (RunResult, bool) {
-    let mut cfg = ArrayConfig::small_test(ParityPolicy::IdleOnly);
+/// Parity logging keeps parity plus log a full redundancy at every
+/// cut, through the log replay a 40 s run fills: no cut marks a
+/// stripe, and only the cuts that also lose the NVRAM declare a unit.
+#[test]
+fn parity_logging_recovers_at_every_cut() {
+    let t = assert_every_cut_recovers(ParityPolicy::ParityLogging, RegionMap::default(), 40);
+    assert!(t.batches > 0, "the log never filled: {t:?}");
+    assert_eq!(t.marked, 0, "parity logging marked a stripe: {t:?}");
+    assert_eq!(t.truly_lost, 0, "{t:?}");
+    assert!(t.declared_lost > 0, "no NVRAM kill declared a unit: {t:?}");
+}
+
+/// The NVRAM fails at 5 s of a 20 s Att run of `policy` over
+/// `regions`. Returns the run, and whether some cut after the failure
+/// still had marks to sweep. Panics if any such cut has a
+/// never-protected stripe marked.
+fn nvram_failure_run(policy: ParityPolicy, regions: RegionMap) -> (RunResult, bool) {
+    let mut cfg = ArrayConfig::small_test(policy);
     cfg.regions = regions;
     let trace = WorkloadSpec::preset(WorkloadKind::Att).generate(
         2500 * 4 * 8192,
@@ -167,11 +194,10 @@ fn nvram_failure_run(regions: RegionMap) -> (RunResult, bool) {
 /// failure: no scrub I/O, and reprotected at the failure instant.
 #[test]
 fn nvram_failure_sweeps_nothing_in_a_never_protected_array() {
-    let (r, sweeping) = nvram_failure_run(RegionMap::new(vec![region(
-        0,
-        2500,
-        RegionMode::NeverProtect,
-    )]));
+    let (r, sweeping) = nvram_failure_run(
+        ParityPolicy::IdleOnly,
+        RegionMap::new(vec![region(0, 2500, RegionMode::NeverProtect)]),
+    );
     assert!(!sweeping);
     assert_eq!(r.metrics.io.scrub_read, 0);
     assert_eq!(r.metrics.io.scrub_write, 0);
@@ -183,12 +209,32 @@ fn nvram_failure_sweeps_nothing_in_a_never_protected_array() {
 /// parity, and only those.
 #[test]
 fn nvram_failure_sweeps_only_protected_stripes() {
-    let (r, sweeping) = nvram_failure_run(RegionMap::new(vec![
-        region(0, 500, RegionMode::NeverProtect),
-        region(1000, 500, RegionMode::AlwaysProtect),
-    ]));
+    let (r, sweeping) = nvram_failure_run(
+        ParityPolicy::IdleOnly,
+        RegionMap::new(vec![
+            region(0, 500, RegionMode::NeverProtect),
+            region(1000, 500, RegionMode::AlwaysProtect),
+        ]),
+    );
     assert!(sweeping, "no cut caught the sweep");
     let done = r.reprotected_at.expect("sweep finished");
     assert!(done > SimTime::from_secs(5), "reprotected at {done:?}");
     assert!(r.metrics.stripes_scrubbed >= 2000);
+}
+
+/// An NVRAM failure under parity logging drops the log with the marks:
+/// the whole-array sweep stands in for its replay.
+#[test]
+fn nvram_failure_under_parity_logging_sweeps_the_whole_array() {
+    let (r, sweeping) = nvram_failure_run(ParityPolicy::ParityLogging, RegionMap::default());
+    assert!(sweeping, "no cut caught the sweep");
+    let done = r.reprotected_at.expect("sweep finished");
+    assert!(done > SimTime::from_secs(5), "reprotected at {done:?}");
+    // Every stripe keeps parity, so the sweep marks all 2500; writes
+    // that reach a marked stripe first refresh it by reconstruct-write.
+    assert!(
+        r.metrics.stripes_scrubbed >= 2000,
+        "{}",
+        r.metrics.stripes_scrubbed
+    );
 }
