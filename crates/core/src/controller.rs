@@ -85,6 +85,7 @@ use crate::layout::{Layout, UnitSlice};
 use crate::metrics::{IoCause, MetricsBuilder};
 use crate::nvram::MarkingMemory;
 use crate::policy::{Directives, Observations, ParityPolicy, PolicyEngine, WriteMode};
+use crate::recovery::Durable;
 use crate::regions::RegionMode;
 use crate::scrub::{TourScrubber, TourStep};
 use crate::shadow::{version_word, ShadowArray};
@@ -463,8 +464,8 @@ pub struct Controller {
     scratch_stripes: Vec<u64>,
     /// Per-disk extent accumulator reused by scrub batch planning.
     scrub_extents: Vec<Vec<(u64, u64)>>,
-    /// The stripe list of the last finished tour or rebuild batch,
-    /// kept for the next one (see [`Controller::pooled_stripes`]).
+    /// The stripe list of the last finished scrub, tour or rebuild
+    /// batch, kept for the next one (see [`Controller::pooled_stripes`]).
     spare_stripes: Vec<u64>,
     /// Retired request shells whose vectors keep their capacity.
     req_pool: Vec<ActiveReq>,
@@ -629,6 +630,32 @@ impl Controller {
             shadow: self.shadow.as_ref(),
             integrity: self.integrity.as_ref(),
             latent: self.latent.as_ref(),
+        }
+    }
+
+    /// The crash-durable state, cloned: the controller runs on.
+    pub(crate) fn durable(&self) -> Durable {
+        Durable {
+            marks: self.marks.clone(),
+            regions: self.cfg.regions.clone(),
+            shadow: self.shadow.clone(),
+            failed_disk: self.dead_disk(),
+            scarred: self.scarred_units(),
+            integrity: self.integrity.clone(),
+            at: self.now,
+        }
+    }
+
+    /// The crash-durable state, moved out of a controller that is done.
+    pub(crate) fn into_durable(self) -> Durable {
+        Durable {
+            failed_disk: self.dead_disk(),
+            scarred: self.scarred_units(),
+            at: self.now,
+            marks: self.marks,
+            regions: self.cfg.regions,
+            shadow: self.shadow,
+            integrity: self.integrity,
         }
     }
 
@@ -2042,7 +2069,7 @@ impl Controller {
     }
 
     /// A batch stripe list holding `stripes`, in the vector the last
-    /// finished tour or rebuild batch handed back. A tour batch is
+    /// finished scrub, tour or rebuild batch handed back. A tour batch is
     /// usually one stripe and there are millions of them per run.
     fn pooled_stripes(&mut self, stripes: std::ops::Range<u64>) -> Vec<u64> {
         let mut list = std::mem::take(&mut self.spare_stripes);
@@ -2172,9 +2199,8 @@ impl Controller {
     }
 
     /// Pops parity-point stripes that are still dirty and writable
-    /// into a priority batch, if any.
-    fn priority_batch(&mut self) -> Vec<u64> {
-        let mut batch = Vec::new();
+    /// into `batch`, up to a batch of them.
+    fn priority_batch(&mut self, batch: &mut Vec<u64>) {
         while batch.len() < self.cfg.scrub_batch as usize {
             let Some(s) = self.priority_scrub.pop_front() else {
                 break;
@@ -2187,43 +2213,40 @@ impl Controller {
                 break;
             }
         }
-        batch
     }
 
     /// Picks and issues the next scrub batch: a run of adjacent dirty
     /// stripes starting at the sweep cursor, skipping stripes with
-    /// writes in flight.
+    /// writes in flight. The stripe list is the pooled one
+    /// ([`Controller::pooled_stripes`]), handed back when the batch
+    /// finishes.
     fn scrub_next_batch(&mut self) {
         let total = self.layout.stripes();
+        let mut batch = self.pooled_stripes(0..0);
         // Parity-point requests jump the queue.
-        let priority = self.priority_batch();
-        if !priority.is_empty() {
-            self.issue_scrub_batch(priority);
-            return;
+        self.priority_batch(&mut batch);
+        if batch.is_empty() {
+            // One batch = one run of *adjacent* dirty stripes (so its
+            // disk reads coalesce into single extents) starting at the
+            // first eligible stripe past the sweep cursor. Small
+            // batches keep the scrubber's preemption granularity fine;
+            // stripes with client writes in flight are skipped.
+            let writing = &self.writing;
+            let Some(start) = self
+                .marks
+                .marked_from(self.scrub_cursor, 4 * self.cfg.scrub_batch as usize)
+                .find(|s| !writing.contains_key(s))
+            else {
+                // Every nearby dirty stripe is being written: give up
+                // for now; completions will retrigger.
+                self.spare_stripes = batch;
+                return;
+            };
+            let run = self.marks.marked_run(start, self.cfg.scrub_batch);
+            batch.extend((start..start + run).take_while(|s| !writing.contains_key(s)));
+            let last = batch.last().copied().unwrap_or(start);
+            self.scrub_cursor = (last + 1) % total;
         }
-        // One batch = one run of *adjacent* dirty stripes (so its disk
-        // reads coalesce into single extents) starting at the first
-        // eligible stripe past the sweep cursor. Small batches keep
-        // the scrubber's preemption granularity fine; stripes with
-        // client writes in flight are skipped.
-        let candidates = self
-            .marks
-            .marked_from(self.scrub_cursor, 4 * self.cfg.scrub_batch as usize);
-        let Some(&start) = candidates.iter().find(|s| !self.writing.contains_key(s)) else {
-            // Every nearby dirty stripe is being written: give up for
-            // now; completions will retrigger.
-            return;
-        };
-        let run = self.marks.marked_run(start, self.cfg.scrub_batch);
-        let mut batch: Vec<u64> = Vec::new();
-        for s in start..start + run {
-            if self.writing.contains_key(&s) {
-                break;
-            }
-            batch.push(s);
-        }
-        let last = batch.last().copied().unwrap_or(start);
-        self.scrub_cursor = (last + 1) % total;
         self.issue_scrub_batch(batch);
     }
 
@@ -2325,6 +2348,7 @@ impl Controller {
             self.clear_mark(s);
             settled += 1;
         }
+        self.spare_stripes = scrub.stripes;
         self.metrics.run.scrub_batches += 1;
         self.metrics.run.stripes_scrubbed += settled;
         if let Some(disk) = condemned {
@@ -2453,7 +2477,8 @@ impl Controller {
         if let Some(latent) = &mut self.latent {
             latent.advance(self.now);
         }
-        if let Some(latent) = &self.latent {
+        // No active error: nothing to detect on any disk.
+        if let Some(latent) = self.latent.as_ref().filter(|l| !l.is_clear()) {
             for disk in 0..self.cfg.disks {
                 for sector in latent.active_in(disk, lba0, span, self.now) {
                     detected += 1;

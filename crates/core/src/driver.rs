@@ -227,22 +227,26 @@ impl<'a> TraceRun<'a> {
     }
 
     /// Steps until `cut` events have been processed (or the run is
-    /// over) and captures the crash-durable state there, leaving the
-    /// run to continue toward a later cut.
-    #[expect(
-        clippy::expect_used,
-        reason = "the documented panic of run_to_cut(s) on a config without the shadow model"
-    )]
-    fn crash_at(&mut self, cut: u64) -> CrashRun {
+    /// over), returning the events processed.
+    fn step_to(&mut self, cut: u64) -> u64 {
         while self.c.metrics.run.events_processed < cut && self.step() {}
-        let events_processed = self.c.metrics.run.events_processed;
-        let image = CrashImage::capture(&self.c, events_processed)
-            .expect("a crash capture needs cfg.shadow = true for recovery ground truth");
-        CrashRun {
-            image,
-            loss: self.loss.clone(),
-            events_processed,
-        }
+        self.c.metrics.run.events_processed
+    }
+
+    /// Cuts the power after `cut` events and captures the crash-durable
+    /// state there, leaving the run to continue toward a later cut.
+    fn crash_at(&mut self, cut: u64) -> CrashRun {
+        let events_processed = self.step_to(cut);
+        let image = CrashImage::capture(&self.c, events_processed);
+        crash_run(image, self.loss.clone(), events_processed)
+    }
+
+    /// [`TraceRun::crash_at`] for the run's only cut: the state moves
+    /// out of the controller instead of being cloned.
+    fn crash_last(mut self, cut: u64) -> CrashRun {
+        let events_processed = self.step_to(cut);
+        let image = CrashImage::new(self.c.into_durable(), events_processed);
+        crash_run(image, self.loss, events_processed)
     }
 
     fn finish(mut self) -> RunResult {
@@ -258,6 +262,24 @@ impl<'a> TraceRun<'a> {
             evicted_at: self.c.evicted_at,
             end,
         }
+    }
+}
+
+/// The crash run of a captured `image`, cut after `events_processed`
+/// events.
+#[expect(
+    clippy::expect_used,
+    reason = "the documented panic of run_to_cut(s) on a config without the shadow model"
+)]
+fn crash_run(
+    image: Option<CrashImage>,
+    loss: Option<DataLossReport>,
+    events_processed: u64,
+) -> CrashRun {
+    CrashRun {
+        image: image.expect("a crash capture needs cfg.shadow = true for recovery ground truth"),
+        loss,
+        events_processed,
     }
 }
 
@@ -284,7 +306,7 @@ pub fn run_trace(cfg: &ArrayConfig, trace: &Trace, opts: &RunOptions) -> RunResu
 /// configuration is invalid, or if the trace exceeds the array's
 /// capacity.
 pub fn run_to_cut(cfg: &ArrayConfig, trace: &Trace, opts: &RunOptions, cut: u64) -> CrashRun {
-    TraceRun::new(cfg, trace, opts).crash_at(cut)
+    TraceRun::new(cfg, trace, opts).crash_last(cut)
 }
 
 /// Replays `trace` once, calling `f` with what [`run_to_cut`] returns

@@ -54,6 +54,9 @@ pub const SECTOR_BYTES: u64 = 512;
 #[derive(Clone, Debug)]
 pub struct LatentErrors {
     disks: Vec<DiskErrors>,
+    /// The earliest drawn-but-not-yet-materialised onset on any disk:
+    /// [`advance`](Self::advance) has nothing to do before it.
+    earliest: Option<SimTime>,
 }
 
 #[derive(Clone, Debug)]
@@ -118,7 +121,12 @@ impl LatentErrors {
                 d
             })
             .collect();
-        LatentErrors { disks }
+        let mut out = LatentErrors {
+            disks,
+            earliest: None,
+        };
+        out.earliest = out.next_onset();
+        out
     }
 
     /// Builds a process with no arrival stream and the given errors
@@ -134,6 +142,7 @@ impl LatentErrors {
                     active: BTreeMap::new(),
                 })
                 .collect(),
+            earliest: None,
         };
         for &(disk, sector, onset) in errors {
             out.disks[disk as usize].active.insert(sector, onset);
@@ -141,11 +150,27 @@ impl LatentErrors {
         out
     }
 
-    /// Materialises every arrival with onset `<= now`.
+    /// Materialises every arrival with onset `<= now`; returns at once
+    /// while `now` is before every disk's next onset.
     pub fn advance(&mut self, now: SimTime) {
+        if self.earliest.is_none_or(|onset| onset > now) {
+            return;
+        }
         for d in &mut self.disks {
             d.advance(now);
         }
+        self.earliest = self.next_onset();
+    }
+
+    /// The earliest drawn-but-not-yet-materialised onset on any disk.
+    fn next_onset(&self) -> Option<SimTime> {
+        self.disks.iter().filter_map(|d| Some(d.next?.0)).min()
+    }
+
+    /// True while no disk holds an active (materialised, unrepaired)
+    /// error, whatever its onset.
+    pub fn is_clear(&self) -> bool {
+        self.disks.iter().all(|d| d.active.is_empty())
     }
 
     /// Sectors of `disk` in `[lba, lba + sectors)` with an active
@@ -450,6 +475,47 @@ mod tests {
     use super::*;
     use crate::nvram::MarkGranularity;
     use crate::regions::Region;
+
+    /// The early-out in [`LatentErrors::advance`] materialises exactly
+    /// what advancing every disk at every call does, over seeded
+    /// streams of advances (small and large steps, repeats) and repairs
+    /// at rates from sparse to several errors per step.
+    #[test]
+    fn advance_early_out_materialises_as_the_per_disk_loop() {
+        use afraid_sim::rng::SplitMix64;
+        use afraid_sim::time::SimDuration;
+        let mut rng = SplitMix64::new(0x1A7E_0033);
+        let mut materialised = 0;
+        for case in 0..30 {
+            let rate = [0.2, 2.0, 20.0][case % 3];
+            let mut fast = LatentErrors::generate(5, 1 << 16, rate, rng.next_u64());
+            let mut slow = fast.clone();
+            let mut now = SimTime::ZERO;
+            for step in 0..300 {
+                let secs = match rng.next_below(3) {
+                    0 => 0.0,
+                    1 => rng.next_f64() * 10.0,
+                    _ => rng.next_f64() * 3600.0,
+                };
+                now += SimDuration::from_secs_f64(secs);
+                fast.advance(now);
+                for d in &mut slow.disks {
+                    d.advance(now);
+                }
+                for (disk, (a, b)) in fast.disks.iter().zip(&slow.disks).enumerate() {
+                    assert_eq!(a.active, b.active, "case {case} step {step} disk {disk}");
+                    assert_eq!(a.next, b.next, "case {case} step {step} disk {disk}");
+                }
+                assert_eq!(fast.is_clear(), fast.active_count(now) == 0);
+                materialised += fast.active_count(now);
+                if let Some((&sector, _)) = fast.disks[step % 5].active.first_key_value() {
+                    assert!(fast.repair((step % 5) as u32, sector));
+                    assert!(slow.repair((step % 5) as u32, sector));
+                }
+            }
+        }
+        assert!(materialised > 1000, "{materialised} errors materialised");
+    }
 
     fn layout() -> Layout {
         Layout::new(5, 8192, 160)

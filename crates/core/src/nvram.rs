@@ -384,16 +384,12 @@ impl MarkingMemory {
     /// to assemble a batch; the bitmap's summary bits let the query
     /// skip clean regions, and sweeping in disk order is what makes
     /// coalescing adjacent stripes effective.
-    pub fn marked_from(&self, from: u64, limit: usize) -> Vec<u64> {
-        if self.marked.is_empty() || limit == 0 {
-            return Vec::new();
-        }
+    pub fn marked_from(&self, from: u64, limit: usize) -> impl Iterator<Item = u64> + '_ {
         let start = from % self.stripes();
         self.marked
             .iter_from(start)
-            .chain(self.marked().take_while(|&s| s < start))
+            .chain(self.marked().take_while(move |&s| s < start))
             .take(limit)
-            .collect()
     }
 
     /// The length of the run of consecutive marked stripes starting at
@@ -474,20 +470,20 @@ mod tests {
         for s in [2, 5, 7] {
             m.mark(s);
         }
-        assert_eq!(m.marked_from(0, 10), vec![2, 5, 7]);
-        assert_eq!(m.marked_from(3, 10), vec![5, 7, 2]);
+        assert_eq!(m.marked_from(0, 10).collect::<Vec<_>>(), vec![2, 5, 7]);
+        assert_eq!(m.marked_from(3, 10).collect::<Vec<_>>(), vec![5, 7, 2]);
         // A start past the last mark wraps to the lowest one.
-        assert_eq!(m.marked_from(8, 10), vec![2, 5, 7]);
+        assert_eq!(m.marked_from(8, 10).collect::<Vec<_>>(), vec![2, 5, 7]);
         // A start at or beyond the stripe count is taken modulo it.
-        assert_eq!(m.marked_from(10, 10), vec![2, 5, 7]);
-        assert_eq!(m.marked_from(13, 10), vec![5, 7, 2]);
+        assert_eq!(m.marked_from(10, 10).collect::<Vec<_>>(), vec![2, 5, 7]);
+        assert_eq!(m.marked_from(13, 10).collect::<Vec<_>>(), vec![5, 7, 2]);
         // The limit caps the batch below the dirty count.
-        assert_eq!(m.marked_from(6, 2), vec![7, 2]);
-        assert!(m.marked_from(0, 0).is_empty());
+        assert_eq!(m.marked_from(6, 2).collect::<Vec<_>>(), vec![7, 2]);
+        assert_eq!(m.marked_from(0, 0).count(), 0);
         for s in [2, 5, 7] {
             m.clear(s);
         }
-        assert!(m.marked_from(0, 10).is_empty());
+        assert_eq!(m.marked_from(0, 10).count(), 0);
     }
 
     #[test]
@@ -773,7 +769,7 @@ mod tests {
                             _ => rng.next_below(70) as usize,
                         };
                         assert_eq!(
-                            mem.marked_from(from, limit),
+                            mem.marked_from(from, limit).collect::<Vec<_>>(),
                             reference.marked_from(from, limit),
                             "{ctx}: marked_from({from}, {limit})"
                         );
@@ -794,7 +790,7 @@ mod tests {
                 );
                 mem.clear_all();
                 assert_eq!((mem.marked_count(), mem.dirty_rows()), (0, 0));
-                assert!(mem.marked_from(0, usize::MAX).is_empty());
+                assert_eq!(mem.marked_from(0, usize::MAX).count(), 0);
             }
         }
     }

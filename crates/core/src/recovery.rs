@@ -115,20 +115,40 @@ pub struct CrashImage {
     pub events_processed: u64,
 }
 
+/// The parts of a controller that survive a power cut, cloned from one
+/// that runs on ([`Controller::durable`]) or moved out of one that is
+/// done ([`Controller::into_durable`]).
+#[derive(Debug)]
+pub(crate) struct Durable {
+    pub(crate) marks: MarkingMemory,
+    pub(crate) regions: RegionMap,
+    pub(crate) shadow: Option<ShadowArray>,
+    pub(crate) failed_disk: Option<u32>,
+    pub(crate) scarred: Vec<(u64, u32)>,
+    pub(crate) integrity: Option<IntegrityState>,
+    pub(crate) at: SimTime,
+}
+
 impl CrashImage {
-    /// Captures the crash-durable state of a halted controller.
+    /// Captures the crash-durable state of a halted controller, which
+    /// may run on: the state is cloned.
     /// Returns `None` when the configuration has no shadow model —
     /// recovery verification is meaningless without ground truth.
     pub fn capture(c: &Controller, events_processed: u64) -> Option<CrashImage> {
-        let view = c.view();
+        CrashImage::new(c.durable(), events_processed)
+    }
+
+    /// The image of `durable`, cut after `events_processed` events;
+    /// `None` without a shadow model.
+    pub(crate) fn new(durable: Durable, events_processed: u64) -> Option<CrashImage> {
         Some(CrashImage {
-            shadow: view.shadow?.clone(),
-            marks: view.marks.clone(),
-            regions: view.regions.clone(),
-            failed_disk: c.dead_disk(),
-            scarred: c.scarred_units(),
-            integrity: view.integrity.cloned(),
-            at: c.now(),
+            shadow: durable.shadow?,
+            marks: durable.marks,
+            regions: durable.regions,
+            failed_disk: durable.failed_disk,
+            scarred: durable.scarred,
+            integrity: durable.integrity,
+            at: durable.at,
             events_processed,
         })
     }
