@@ -265,7 +265,7 @@ RAID 5 on bursty snake; on busy att that work queues with client I/O.
     ] {
         let mttdl = |frac: f64| match mode {
             raid6::Raid6Mode::Full => raid6::mttdl_raid6_catastrophic(&p, n),
-            raid6::Raid6Mode::DeferQ => raid6::mttdl_defer_q(&p, n, frac),
+            raid6::Raid6Mode::DeferQ => raid6::mttdl_defer_both(&p, n, frac, 0.0),
             raid6::Raid6Mode::DeferBoth => raid6::mttdl_defer_both(&p, n, frac, frac),
         };
         let ios = raid6::small_write_ios(mode);

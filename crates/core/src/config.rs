@@ -247,21 +247,10 @@ impl ArrayConfig {
     /// tests and examples that need quick, readable numbers.
     pub fn small_test(policy: ParityPolicy) -> ArrayConfig {
         ArrayConfig {
-            disks: 5,
-            stripe_unit_bytes: 8 * 1024,
             disk_model: DiskModel::test_disk(),
-            policy,
-            host_policy: Policy::Clook,
-            idle_delay: SimDuration::from_millis(100),
-            scrub_batch: 8,
-            mark_granularity: MarkGranularity::STRIPE,
             read_cache_bytes: 0,
-            params: ModelParams::default(),
             shadow: true,
-            regions: RegionMap::none(),
-            scrub: ScrubConfig::default(),
-            faults: FaultConfig::default(),
-            integrity: IntegrityConfig::default(),
+            ..ArrayConfig::paper_default(policy)
         }
     }
 

@@ -63,6 +63,7 @@
 #![deny(clippy::indexing_slicing)]
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use afraid_disk::disk::{Disk, DiskRequest};
 use afraid_disk::sched::Scheduler;
@@ -196,14 +197,6 @@ struct PlannedIo {
     cause: IoCause,
 }
 
-/// How the most recent attempt of an in-flight faulted I/O ended.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FlightOutcome {
-    Ok,
-    MediaError,
-    Timeout,
-}
-
 /// Retry state for one disk I/O that drew a transient fault. Clean
 /// I/Os never allocate a flight: the fault-free path is structurally
 /// identical to an array without fault injection.
@@ -215,7 +208,8 @@ struct Flight {
     /// Attempts submitted so far (the first counts).
     attempts: u32,
     first_issued: SimTime,
-    last: FlightOutcome,
+    /// How the most recent attempt ended.
+    last: IoOutcome,
 }
 
 /// Request phases.
@@ -936,16 +930,13 @@ impl Controller {
             if self.degraded_disk_for(sl.stripe) == Some(sl.disk) {
                 // Reconstruct read: same sector range from every other
                 // disk of the stripe (data peers + parity).
-                for disk in 0..self.cfg.disks {
-                    if disk != sl.disk {
-                        ios.push(PlannedIo {
-                            disk,
-                            lba: sl.disk_lba,
-                            sectors: sl.sectors,
-                            cause: IoCause::ReconstructRead,
-                        });
-                    }
-                }
+                self.each_disk(
+                    Some(sl.disk),
+                    sl.disk_lba,
+                    sl.sectors,
+                    IoCause::ReconstructRead,
+                    &mut ios,
+                );
             } else {
                 ios.push(PlannedIo {
                     disk: sl.disk,
@@ -1463,7 +1454,7 @@ impl Controller {
                 }
                 continue;
             }
-            let tripped = self.resolve_corrupt_unit(
+            let (tripped, verdict) = self.resolve_corrupt_unit(
                 &mut shadow,
                 &mut int,
                 sl.stripe,
@@ -1471,6 +1462,9 @@ impl Controller {
                 sl.disk_lba,
                 sl.sectors,
             );
+            if verdict == IntegrityVerdict::Declared {
+                self.metrics.run.failed_reads += 1;
+            }
             if tripped && condemned.is_none() {
                 condemned = Some(sl.disk);
             }
@@ -1486,9 +1480,9 @@ impl Controller {
     /// Resolves one checksum-detected persistent corruption through
     /// the repair-or-declare rule ([`IntegrityState::resolve`]) and
     /// issues what its verdict implies: the in-place repair write at
-    /// `lba`/`sectors`, or a failed read plus, while parity is fresh,
-    /// the parity re-anchor write. Returns whether the corruption
-    /// tripped the disk's health threshold.
+    /// `lba`/`sectors`, or, on a declare while parity is fresh, the
+    /// parity re-anchor write. Returns whether the corruption tripped
+    /// the disk's health threshold, and the verdict.
     fn resolve_corrupt_unit(
         &mut self,
         shadow: &mut ShadowArray,
@@ -1497,7 +1491,7 @@ impl Controller {
         unit: u32,
         lba: u64,
         sectors: u64,
-    ) -> bool {
+    ) -> (bool, IntegrityVerdict) {
         // A lying disk is graver than one failing loudly: fold the
         // corruption into the health scoreboard at its heavy weight.
         let disk = self.layout.data_disk(stripe, unit);
@@ -1506,7 +1500,8 @@ impl Controller {
             .as_mut()
             .is_some_and(|h| h.record_corruption(disk));
         let fresh = self.parity_fresh(stripe);
-        match int.resolve(shadow, stripe, unit, fresh) {
+        let verdict = int.resolve(shadow, stripe, unit, fresh);
+        match verdict {
             IntegrityVerdict::Clean => {}
             IntegrityVerdict::Repaired => self.submit(
                 PlannedIo {
@@ -1518,7 +1513,6 @@ impl Controller {
                 Ev::RepairIo,
             ),
             IntegrityVerdict::Declared => {
-                self.metrics.run.failed_reads += 1;
                 if fresh {
                     self.submit(
                         PlannedIo {
@@ -1532,60 +1526,33 @@ impl Controller {
                 }
             }
         }
-        tripped
+        (tripped, verdict)
     }
 
-    /// Checksum-verifies one settling stripe just before the parity
-    /// scrub rebuilds its parity from platter content. A corruption on
-    /// a marked stripe is by definition unrepairable — stale parity is
-    /// what the mark means — so mismatches are declared and absorbed
-    /// *before* `rebuild_parity` would launder the rot into a
-    /// consistent-looking stripe with no record of the loss. Returns
-    /// the first disk the corruption evidence condemned, if any.
-    fn verify_scrub_stripe(&mut self, stripe: u64) -> Option<u32> {
-        if !self.cfg.integrity.verify_scrub || self.degraded_disk_for(stripe).is_some() {
-            return None;
-        }
-        let (Some(int), Some(shadow)) = (self.integrity.as_mut(), self.shadow.as_mut()) else {
-            return None;
-        };
-        let mut condemned = None;
-        for unit in 0..self.layout.data_units() {
-            if !int.detect(shadow, stripe, unit) {
-                continue;
-            }
-            let disk = self.layout.data_disk(stripe, unit);
-            let tripped = self
-                .health
-                .as_mut()
-                .is_some_and(|h| h.record_corruption(disk));
-            if tripped && condemned.is_none() {
-                condemned = Some(disk);
-            }
-            int.resolve(shadow, stripe, unit, false);
-        }
-        condemned
-    }
-
-    /// Checksum-verifies every data unit under a tour batch before the
-    /// latent-error planning runs. The tour already reads every sector
-    /// of the span, so verification costs no extra I/O; mismatches
-    /// ride [`Self::resolve_corrupt_unit`], which also restores parity
-    /// consistency on unmarked stripes — the consistency the
-    /// latent-repair asserts in the caller rely on.
-    fn verify_tour_span(&mut self, first: u64, nstripes: u64) {
+    /// Checksum-verifies every data unit of `stripes`, which a scrub or
+    /// tour batch has just read (no extra I/O), and sends each
+    /// mismatch through [`Self::resolve_corrupt_unit`]. A settling
+    /// scrub stripe is marked, so its corruptions are declared, stale
+    /// parity being what the mark means, before `rebuild_parity`
+    /// would launder the rot into a consistent-looking stripe with no
+    /// record of the loss. On an unmarked tour stripe the rule also
+    /// restores parity consistency, which the latent-repair asserts
+    /// rely on. Stripes still routed around a dead disk are skipped.
+    /// Returns the first disk the corruption evidence condemned, if
+    /// any, and the number of units declared.
+    fn verify_stripes(&mut self, stripes: Range<u64>) -> (Option<u32>, u64) {
         if !self.cfg.integrity.verify_scrub {
-            return;
+            return (None, 0);
         }
         let Some(mut int) = self.integrity.take() else {
-            return;
+            return (None, 0);
         };
         let Some(mut shadow) = self.shadow.take() else {
             self.integrity = Some(int);
-            return;
+            return (None, 0);
         };
-        let mut condemned: Option<u32> = None;
-        for stripe in first..first + nstripes {
+        let (mut condemned, mut declared) = (None, 0);
+        for stripe in stripes {
             if self.degraded_disk_for(stripe).is_some() {
                 continue;
             }
@@ -1593,7 +1560,7 @@ impl Controller {
                 if !int.detect(&shadow, stripe, unit) {
                     continue;
                 }
-                let tripped = self.resolve_corrupt_unit(
+                let (tripped, verdict) = self.resolve_corrupt_unit(
                     &mut shadow,
                     &mut int,
                     stripe,
@@ -1604,13 +1571,12 @@ impl Controller {
                 if tripped && condemned.is_none() {
                     condemned = Some(self.layout.data_disk(stripe, unit));
                 }
+                declared += u64::from(verdict == IntegrityVerdict::Declared);
             }
         }
         self.shadow = Some(shadow);
         self.integrity = Some(int);
-        if let Some(disk) = condemned {
-            self.begin_eviction(disk);
-        }
+        (condemned, declared)
     }
 
     // ------------------------------------------------------------------
@@ -1682,6 +1648,43 @@ impl Controller {
         self.flights.get_mut(&id).expect("live flight")
     }
 
+    /// Pushes one `cause` extent of `sectors` at `lba` onto `ios` for
+    /// every disk but `skip`, in disk order: a tour reads every disk, a
+    /// degraded, fallback or rebuild read every survivor.
+    fn each_disk(
+        &self,
+        skip: Option<u32>,
+        lba: u64,
+        sectors: u64,
+        cause: IoCause,
+        ios: &mut Vec<PlannedIo>,
+    ) {
+        ios.extend(
+            (0..self.cfg.disks)
+                .filter(|&disk| Some(disk) != skip)
+                .map(|disk| PlannedIo {
+                    disk,
+                    lba,
+                    sectors,
+                    cause,
+                }),
+        );
+    }
+
+    /// Byte-checks, against the shadow model, that `stripe` is
+    /// reconstructable from its survivors' XOR before a repair
+    /// rewrites `disk`'s copy from it: otherwise the repair would
+    /// overwrite client data with garbage.
+    fn assert_reconstructable(&self, stripe: u64, disk: u32) {
+        if let Some(shadow) = &self.shadow {
+            assert!(
+                shadow.parity_consistent(stripe),
+                "scrub repair on inconsistent stripe {stripe} (disk {disk}): \
+                 parity is stale, reconstruction would write garbage"
+            );
+        }
+    }
+
     fn submit(&mut self, io: PlannedIo, ev: Ev) {
         let (at, ev) = self.submit_planned(io, ev);
         self.events.schedule(at, ev);
@@ -1711,16 +1714,14 @@ impl Controller {
             // error (no physical I/O). New plans avoid dead disks.
             return (self.now + FAILED_IO_LATENCY, ev);
         }
-        match self.attempt(&io) {
+        let outcome = self.attempt(&io);
+        match outcome {
             IoOutcome::Ok(done) => {
                 self.note_disk_ok(io.disk);
                 (done, ev)
             }
-            IoOutcome::MediaError(report) => {
-                (report, self.open_flight(io, ev, FlightOutcome::MediaError))
-            }
-            IoOutcome::Timeout(report) => {
-                (report, self.open_flight(io, ev, FlightOutcome::Timeout))
+            IoOutcome::MediaError(report) | IoOutcome::Timeout(report) => {
+                (report, self.open_flight(io, ev, outcome))
             }
             // `is_failed` was checked above; a failure event cannot
             // interleave because the machine is single-threaded.
@@ -1754,7 +1755,7 @@ impl Controller {
     /// Installs retry state for an I/O whose first attempt drew a
     /// fault, and returns the `IoDone` event the caller schedules at
     /// the fault's report time.
-    fn open_flight(&mut self, io: PlannedIo, done: Ev, last: FlightOutcome) -> Ev {
+    fn open_flight(&mut self, io: PlannedIo, done: Ev, last: IoOutcome) -> Ev {
         let id = self.next_flight_id;
         self.next_flight_id += 1;
         self.flights.insert(
@@ -1776,16 +1777,16 @@ impl Controller {
     fn on_io_done(&mut self, id: u64) {
         let fl = self.flight(id);
         match fl.last {
-            FlightOutcome::Ok => {
+            IoOutcome::Ok(_) => {
                 self.flights.remove(&id);
                 self.note_disk_ok(fl.io.disk);
                 self.metrics
                     .record_retry_success(self.now.since(fl.first_issued));
                 self.handle(fl.done);
             }
-            FlightOutcome::MediaError | FlightOutcome::Timeout => {
+            IoOutcome::MediaError(_) | IoOutcome::Timeout(_) => {
                 let disk = fl.io.disk;
-                let tripped = if fl.last == FlightOutcome::MediaError {
+                let tripped = if matches!(fl.last, IoOutcome::MediaError(_)) {
                     self.metrics.run.media_errors += 1;
                     self.health
                         .as_mut()
@@ -1810,6 +1811,7 @@ impl Controller {
                     self.begin_eviction(disk);
                 }
             }
+            IoOutcome::Failed => unreachable!("a flight never attempts a failed disk"),
         }
         self.try_finalize_eviction();
     }
@@ -1823,10 +1825,9 @@ impl Controller {
             self.events.schedule(self.now + FAILED_IO_LATENCY, fl.done);
             return;
         }
-        let (last, report) = match self.attempt(&fl.io) {
-            IoOutcome::Ok(done) => (FlightOutcome::Ok, done),
-            IoOutcome::MediaError(t) => (FlightOutcome::MediaError, t),
-            IoOutcome::Timeout(t) => (FlightOutcome::Timeout, t),
+        let last = self.attempt(&fl.io);
+        let report = match last {
+            IoOutcome::Ok(t) | IoOutcome::MediaError(t) | IoOutcome::Timeout(t) => t,
             IoOutcome::Failed => unreachable!("retry raced a disk failure"),
         };
         self.flight_mut(id).last = last;
@@ -1918,33 +1919,19 @@ impl Controller {
             self.handle(fl.done);
             return;
         }
-        if let Some(shadow) = &self.shadow {
-            // Byte-check: the stripe must actually be reconstructable
-            // from the survivors' XOR, or the repair would overwrite
-            // client data with garbage.
-            let disk = fl.io.disk;
-            assert!(
-                shadow.parity_consistent(stripe),
-                "scrub repair on inconsistent stripe {stripe} (disk {disk}): \
-                 parity is stale, reconstruction would write garbage"
-            );
-        }
+        self.assert_reconstructable(stripe, fl.io.disk);
         self.metrics.run.reconstruct_fallbacks += 1;
         // The one failed read becomes `disks - 1` survivor reads, all
         // completing into the same request slot.
         self.req_mut(req).pending += self.cfg.disks - 2;
         let mut ios = std::mem::take(&mut self.scratch_ios);
-        for disk in 0..self.cfg.disks {
-            if disk == fl.io.disk {
-                continue;
-            }
-            ios.push(PlannedIo {
-                disk,
-                lba: fl.io.lba,
-                sectors: fl.io.sectors,
-                cause: IoCause::ReconstructRead,
-            });
-        }
+        self.each_disk(
+            Some(fl.io.disk),
+            fl.io.lba,
+            fl.io.sectors,
+            IoCause::ReconstructRead,
+            &mut ios,
+        );
         self.submit_batch(&mut ios, Ev::ClientIo { req });
         self.scratch_ios = ios;
         self.submit(
@@ -2071,7 +2058,7 @@ impl Controller {
     /// A batch stripe list holding `stripes`, in the vector the last
     /// finished scrub, tour or rebuild batch handed back. A tour batch is
     /// usually one stripe and there are millions of them per run.
-    fn pooled_stripes(&mut self, stripes: std::ops::Range<u64>) -> Vec<u64> {
+    fn pooled_stripes(&mut self, stripes: Range<u64>) -> Vec<u64> {
         let mut list = std::mem::take(&mut self.spare_stripes);
         list.clear();
         list.extend(stripes);
@@ -2256,21 +2243,13 @@ impl Controller {
         // Plan the reads: for each dirty stripe, the dirty row range of
         // every data unit; extents on the same disk merge when
         // adjacent (the coalescing optimisation).
-        let unit_sectors = self.layout.unit_sectors();
-        let m = u64::from(self.cfg.mark_granularity.bits());
-        let row_sectors = unit_sectors / m;
         let mut per_disk = std::mem::take(&mut self.scrub_extents);
         per_disk.resize(self.cfg.disks as usize, Vec::new());
         for extents in &mut per_disk {
             extents.clear();
         }
         for &s in &batch {
-            let mask = self.marks.row_mask(s);
-            debug_assert!(mask != 0);
-            let first = mask.trailing_zeros() as u64;
-            let last_row = 63 - mask.leading_zeros() as u64;
-            let lo = self.layout.stripe_lba(s) + first * row_sectors;
-            let sectors = (last_row - first + 1) * row_sectors;
+            let (lo, sectors) = self.dirty_extent(s);
             for u in 0..self.layout.data_units() {
                 let d = self.layout.data_disk(s, u) as usize;
                 if let Some(extents) = per_disk.get_mut(d) {
@@ -2302,19 +2281,30 @@ impl Controller {
     /// rows.
     fn plan_scrub_writes(&self, ios: &mut Vec<PlannedIo>) {
         let Some(scrub) = &self.scrub else { return };
-        let m = u64::from(self.cfg.mark_granularity.bits());
-        let row_sectors = self.layout.unit_sectors() / m;
         for &s in &scrub.stripes {
-            let mask = self.marks.row_mask(s);
-            let first = mask.trailing_zeros() as u64;
-            let last_row = 63 - mask.leading_zeros() as u64;
+            let (lba, sectors) = self.dirty_extent(s);
             ios.push(PlannedIo {
                 disk: self.layout.parity_disk(s),
-                lba: self.layout.stripe_lba(s) + first * row_sectors,
-                sectors: (last_row - first + 1) * row_sectors,
+                lba,
+                sectors,
                 cause: IoCause::ScrubWrite,
             });
         }
+    }
+
+    /// The sectors of each unit of marked `stripe` from its first
+    /// marked row through its last: what a scrub reads from every data
+    /// unit and writes to parity.
+    fn dirty_extent(&self, stripe: u64) -> (u64, u64) {
+        let mask = self.marks.row_mask(stripe);
+        debug_assert!(mask != 0);
+        let row_sectors = self.layout.unit_sectors() / u64::from(self.cfg.mark_granularity.bits());
+        let first = u64::from(mask.trailing_zeros());
+        let last = 63 - u64::from(mask.leading_zeros());
+        (
+            self.layout.stripe_lba(stripe) + first * row_sectors,
+            (last - first + 1) * row_sectors,
+        )
     }
 
     fn finish_scrub_batch(&mut self, scrub: Batch) {
@@ -2331,7 +2321,7 @@ impl Controller {
             // rebuilt from the platter bytes: a lost or torn write on
             // a marked stripe would otherwise be laundered into a
             // consistent-looking stripe with no record of the loss.
-            if let Some(disk) = self.verify_scrub_stripe(s) {
+            if let (Some(disk), _) = self.verify_stripes(s..s + 1) {
                 condemned.get_or_insert(disk);
             }
             if let Some(shadow) = &mut self.shadow {
@@ -2440,14 +2430,7 @@ impl Controller {
         let lba = self.layout.stripe_lba(first_stripe);
         let sectors = stripes * self.layout.unit_sectors();
         let mut ios = std::mem::take(&mut self.scratch_ios);
-        for disk in 0..self.cfg.disks {
-            ios.push(PlannedIo {
-                disk,
-                lba,
-                sectors,
-                cause: IoCause::TourRead,
-            });
-        }
+        self.each_disk(None, lba, sectors, IoCause::TourRead, &mut ios);
         let batch = self.pooled_stripes(first_stripe..first_stripe + stripes);
         self.begin_batch(Job::Tour, batch, &mut ios);
         self.scratch_ios = ios;
@@ -2468,7 +2451,14 @@ impl Controller {
         // Integrity sweep first: repairs/declares here restore parity
         // consistency on unmarked stripes, which the latent-repair
         // cross-checks below assert.
-        self.verify_tour_span(first, nstripes);
+        let (condemned, declared) = self.verify_stripes(first..first + nstripes);
+        // A declare here also counts as a failed read, although no
+        // client read failed: the serialized results keep that count
+        // until their next schema change.
+        self.metrics.run.failed_reads += declared;
+        if let Some(disk) = condemned {
+            self.begin_eviction(disk);
+        }
         let unit_sectors = self.layout.unit_sectors();
         let lba0 = self.layout.stripe_lba(first);
         let span = nstripes * unit_sectors;
@@ -2508,16 +2498,8 @@ impl Controller {
         // planned for stripes with fresh parity, so every stripe we are
         // about to repair must actually be reconstructable, or the
         // repair would write garbage over client data.
-        if let Some(shadow) = &self.shadow {
-            for io in ios.iter() {
-                let stripe = first + (io.lba - lba0) / unit_sectors;
-                let disk = io.disk;
-                assert!(
-                    shadow.parity_consistent(stripe),
-                    "scrub repair on inconsistent stripe {stripe} (disk {disk}): \
-                     parity is stale, reconstruction would write garbage"
-                );
-            }
+        for io in ios.iter() {
+            self.assert_reconstructable(first + (io.lba - lba0) / unit_sectors, io.disk);
         }
         // Repairs exist only if the latent process does (it produced
         // them above), so the if-let never silently skips.
@@ -2689,17 +2671,7 @@ impl Controller {
         let lba = self.layout.stripe_lba(start);
         let sectors = (end - start) * self.layout.unit_sectors();
         let mut ios = std::mem::take(&mut self.scratch_ios);
-        for disk in 0..self.cfg.disks {
-            if disk == failed {
-                continue;
-            }
-            ios.push(PlannedIo {
-                disk,
-                lba,
-                sectors,
-                cause: IoCause::RebuildRead,
-            });
-        }
+        self.each_disk(Some(failed), lba, sectors, IoCause::RebuildRead, &mut ios);
         let batch = self.pooled_stripes(start..end);
         self.begin_batch(Job::Rebuild, batch, &mut ios);
         self.scratch_ios = ios;

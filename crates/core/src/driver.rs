@@ -113,15 +113,11 @@ impl<'a> TraceRun<'a> {
         if let Some(at) = opts.fail_nvram {
             c.events.schedule(at, Ev::FailNvram);
         }
-        // The commit-barrier timeline is pre-scheduled in one batch:
-        // a commit-heavy client can request thousands of parity points
-        // over a run, and inserting them one by one would shift the
-        // whole timeline once per barrier; the batch sorts once.
-        c.events.schedule_batch(
-            opts.parity_points
-                .iter()
-                .map(|&(at, offset, bytes)| (at, Ev::ParityPoint { offset, bytes })),
-        );
+        // Scheduled in input order, so same-instant points fire in the
+        // order the host asked for them.
+        for &(at, offset, bytes) in &opts.parity_points {
+            c.events.schedule(at, Ev::ParityPoint { offset, bytes });
+        }
 
         if let Some(first) = trace.records.first() {
             c.events.schedule(first.time, Ev::Arrive);
@@ -329,5 +325,44 @@ pub fn run_to_cuts(
     let mut run = TraceRun::new(cfg, trace, opts);
     for &cut in cuts {
         f(run.crash_at(cut));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use afraid_trace::record::{IoRecord, ReqKind};
+
+    use super::*;
+    use crate::policy::ParityPolicy;
+
+    /// Parity points due at one instant fire in the order the host
+    /// listed them, and ahead of an arrival at that instant.
+    #[test]
+    fn same_instant_parity_points_fire_in_input_order() {
+        let cfg = ArrayConfig::small_test(ParityPolicy::IdleOnly);
+        let at = SimTime::from_millis(5);
+        let mut trace = Trace::new("one-read", 1 << 20);
+        trace.records.push(IoRecord {
+            time: at,
+            offset: 0,
+            bytes: 512,
+            kind: ReqKind::Read,
+        });
+        let offsets = [3 << 13, 0, 7 << 13, 1 << 13];
+        let opts = RunOptions {
+            parity_points: offsets.iter().map(|&o| (at, o, 8192)).collect(),
+            ..RunOptions::default()
+        };
+        let mut run = TraceRun::new(&cfg, &trace, &opts);
+        let fired: Vec<Option<u64>> = std::iter::from_fn(|| run.c.events.pop())
+            .map(|(t, ev)| match ev {
+                Ev::ParityPoint { offset, .. } if t == at => Some(offset),
+                Ev::Arrive if t == at => None,
+                other => panic!("unexpected event {other:?} at {t:?}"),
+            })
+            .collect();
+        let mut want: Vec<Option<u64>> = offsets.iter().copied().map(Some).collect();
+        want.push(None);
+        assert_eq!(fired, want);
     }
 }

@@ -21,7 +21,7 @@
 //! # Examples
 //!
 //! ```
-//! use afraid::raid6::{mttdl_defer_q, small_write_ios, Raid6Mode};
+//! use afraid::raid6::{mttdl_defer_both, small_write_ios, Raid6Mode};
 //! use afraid_avail::params::ModelParams;
 //!
 //! // Deferring Q saves a third of the small-write cost...
@@ -29,7 +29,7 @@
 //! assert_eq!(small_write_ios(Raid6Mode::DeferQ), 4);
 //! // ...while keeping single-failure tolerance at all times.
 //! let p = ModelParams::default();
-//! assert!(mttdl_defer_q(&p, 4, 0.5) > 1.0e9);
+//! assert!(mttdl_defer_both(&p, 4, 0.5, 0.0) > 1.0e9);
 //! ```
 
 use afraid_avail::mttdl::combine;
@@ -81,41 +81,12 @@ pub fn mttdl_raid6_catastrophic(params: &ModelParams, n: u32) -> Hours {
         / (f64::from(n) * f64::from(n + 1) * f64::from(n + 2) * params.mttr_disk * params.mttr_disk)
 }
 
-/// MTTDL of a deferred-Q AFRAID/RAID 6: during Q-stale time the array
-/// has RAID 5 arithmetic (two failures lose data); the rest of the
-/// time, full RAID 6.
-///
-/// # Panics
-///
-/// Panics if `frac_q_stale` is outside `[0, 1]`.
-pub fn mttdl_defer_q(params: &ModelParams, n: u32, frac_q_stale: f64) -> Hours {
-    assert!(
-        (0.0..=1.0).contains(&frac_q_stale),
-        "stale fraction out of range: {frac_q_stale}"
-    );
-    // While Q is stale: RAID 5-grade exposure over n+2 spindles,
-    // scaled by the fraction of time in that state (conservatively
-    // using the RAID 5 dual-failure formula with the wider array).
-    let stale_part = if frac_q_stale == 0.0 {
-        f64::INFINITY
-    } else {
-        let mttf = params.mttf_disk();
-        let raid5_like = mttf * mttf / (f64::from(n + 1) * f64::from(n + 2) * params.mttr_disk);
-        raid5_like / frac_q_stale
-    };
-    let clean_part = if frac_q_stale >= 1.0 {
-        f64::INFINITY
-    } else {
-        mttdl_raid6_catastrophic(params, n) / (1.0 - frac_q_stale)
-    };
-    combine(&[stale_part, clean_part])
-}
-
 /// MTTDL of a defer-both AFRAID/RAID 6: while both parities are stale
 /// a single failure loses data (equation 2a's arithmetic over `n + 2`
 /// spindles); while only Q is stale, RAID 5 arithmetic; otherwise full
 /// RAID 6. `frac_both_stale` must not exceed `frac_q_stale` (P is
-/// rebuilt no later than Q).
+/// rebuilt no later than Q). A deferred-Q array is the case
+/// `frac_both_stale = 0`: it never loses single-failure tolerance.
 ///
 /// # Panics
 ///
@@ -126,6 +97,10 @@ pub fn mttdl_defer_both(
     frac_q_stale: f64,
     frac_both_stale: f64,
 ) -> Hours {
+    assert!(
+        (0.0..=1.0).contains(&frac_q_stale),
+        "stale fraction out of range: {frac_q_stale}"
+    );
     assert!(
         (0.0..=1.0).contains(&frac_both_stale) && frac_both_stale <= frac_q_stale,
         "inconsistent stale fractions"
@@ -178,16 +153,16 @@ mod tests {
     #[test]
     fn defer_q_interpolates() {
         // Never stale: full RAID 6. Always stale: RAID 5-grade.
-        let full = mttdl_defer_q(&p(), 4, 0.0);
+        let full = mttdl_defer_both(&p(), 4, 0.0, 0.0);
         assert!((full - mttdl_raid6_catastrophic(&p(), 4)).abs() / full < 1e-12);
-        let always = mttdl_defer_q(&p(), 4, 1.0);
+        let always = mttdl_defer_both(&p(), 4, 1.0, 0.0);
         let mttf = p().mttf_disk();
         let raid5_like = mttf * mttf / (5.0 * 6.0 * 48.0);
         assert!((always - raid5_like).abs() / always < 1e-9);
         // Monotone in between.
         let mut last = f64::INFINITY;
         for f in [0.0, 0.01, 0.1, 0.5, 1.0] {
-            let m = mttdl_defer_q(&p(), 4, f);
+            let m = mttdl_defer_both(&p(), 4, f, 0.0);
             assert!(m <= last);
             last = m;
         }
@@ -198,7 +173,7 @@ mod tests {
         // The §5 selling point: even with Q permanently stale, the
         // array still tolerates any single failure — MTTDL stays far
         // above a single-exposure AFRAID at the same stale fraction.
-        let defer_q = mttdl_defer_q(&p(), 4, 0.2);
+        let defer_q = mttdl_defer_both(&p(), 4, 0.2, 0.0);
         let afraid_like = afraid_avail::mttdl::mttdl_afraid_unprotected(&p(), 4, 0.2);
         assert!(
             defer_q > afraid_like * 100.0,
@@ -220,7 +195,7 @@ mod tests {
         // defer-both >= nothing.
         let f = 0.1;
         let r6 = mttdl_raid6_catastrophic(&p(), 4);
-        let dq = mttdl_defer_q(&p(), 4, f);
+        let dq = mttdl_defer_both(&p(), 4, f, 0.0);
         let db = mttdl_defer_both(&p(), 4, f, f / 2.0);
         assert!(r6 > dq, "{r6:.2e} vs {dq:.2e}");
         assert!(dq > db, "{dq:.2e} vs {db:.2e}");

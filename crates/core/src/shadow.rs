@@ -234,27 +234,12 @@ impl ShadowArray {
 }
 
 /// The indices of the `width`-word rows of `words` that hold a non-zero
-/// word, in order. Zero runs are skipped a block of words at a time
-/// (one OR per word, which vectorises); the first non-zero word of a
-/// block names its row, and the scan resumes after that row.
+/// word, in order.
 pub(crate) fn nonzero_rows(words: &[u64], width: usize) -> impl Iterator<Item = u64> + '_ {
-    const BLOCK: usize = 32;
-    let mut at = 0;
-    std::iter::from_fn(move || loop {
-        let rest = words.get(at..).filter(|rest| !rest.is_empty())?;
-        let zero = match rest.first_chunk::<BLOCK>() {
-            Some(block) => block.iter().fold(0, |acc, w| acc | w) == 0,
-            None => rest.iter().all(|&w| w == 0),
-        };
-        if zero {
-            at += rest.len().min(BLOCK);
-            continue;
-        }
-        let hit = at + rest.iter().position(|&w| w != 0)?;
-        let row = hit / width;
-        at = (row + 1) * width;
-        return Some(row as u64);
-    })
+    (0..)
+        .zip(words.chunks_exact(width))
+        .filter(|(_, row)| row.iter().any(|&w| w != 0))
+        .map(|(row, _)| row)
 }
 
 /// Rows per page of a [`DeltaRows`]. A 600 s storm cell over the paper

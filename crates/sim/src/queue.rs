@@ -12,11 +12,11 @@
 //! due earlier, which the insert shifts anyway. [`EventQueue::cancel`]
 //! removes the entry, shifting the entries due before it. The
 //! simulator's queue holds a mean of 3 to 11 events at each pop, most
-//! of them due soon, so a scan and a shift each touch a handful.
-//! [`EventQueue::schedule_batch`] appends many events and sorts them
-//! once with the entries due no later than their latest; the
-//! driver uses it for commit-barrier timelines, where one insert per
-//! barrier would shift every earlier barrier and be quadratic.
+//! of them due soon, so a scan and a shift each touch a handful. A
+//! timeline scheduled earliest-first, such as the driver's parity
+//! points, shifts every earlier entry on each insert: n²/2 shifts for n
+//! events, about 20 k for the longest timeline any caller passes
+//! (200 points).
 
 #![deny(clippy::indexing_slicing)]
 
@@ -62,9 +62,8 @@ pub struct EventQueue<E> {
     /// Pending events, sorted by descending `(time, seq)`.
     items: Vec<Entry<E>>,
     next_seq: u64,
-    /// Entries displaced so far by `schedule`, `schedule_batch` and
-    /// `cancel`. Exposed so tests can assert the cost model rather than
-    /// wall-clock time.
+    /// Entries displaced so far by `schedule` and `cancel`. Exposed so
+    /// tests can assert the cost model rather than wall-clock time.
     shifted: u64,
 }
 
@@ -100,40 +99,6 @@ impl<E> EventQueue<E> {
         self.items.insert(at, Entry { time, seq, event });
         self.debug_assert_ordered_around(at);
         EventId(seq)
-    }
-
-    /// Schedules many events with one sort.
-    ///
-    /// Sequence numbers are assigned in iteration order, so the
-    /// delivered order is exactly what a loop of [`EventQueue::schedule`]
-    /// calls would produce — batching is a cost optimisation, never a
-    /// semantic change. The events are appended and sorted together
-    /// with the entries due no later than their latest; entries due
-    /// after it stay where they are. This pays for a long timeline,
-    /// where each event is the latest yet and a `schedule` loop would
-    /// shift every earlier one; a burst of a few events is cheaper
-    /// through `schedule`.
-    pub fn schedule_batch<I>(&mut self, items: I)
-    where
-        I: IntoIterator<Item = (SimTime, E)>,
-    {
-        let old = self.items.len();
-        let mut latest = None;
-        for (time, event) in items {
-            latest = latest.max(Some(time));
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.items.push(Entry { time, seq, event });
-        }
-        let Some(latest) = latest else { return };
-        // No appended entry is due after `latest`, so the whole vector
-        // is still partitioned by this predicate.
-        let at = self.items.partition_point(|e| e.time > latest);
-        self.shifted += (old - at) as u64;
-        if let Some(tail) = self.items.get_mut(at..) {
-            tail.sort_by_key(Entry::key);
-        }
-        self.debug_assert_ordered_around(at);
     }
 
     /// Checks that the entries next to slot `at` are in order (debug
@@ -185,9 +150,8 @@ impl<E> EventQueue<E> {
         self.items.is_empty()
     }
 
-    /// Entries displaced so far by inserts, batch sorts and
-    /// cancellations; a measure of the work ordering has cost this
-    /// queue.
+    /// Entries displaced so far by inserts and cancellations; a measure
+    /// of the work ordering has cost this queue.
     pub fn shifted(&self) -> u64 {
         self.shifted
     }
@@ -219,30 +183,6 @@ mod tests {
             q.schedule(t, i);
         }
         assert_eq!(drain(&mut q), (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn batch_matches_loop_order() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_millis(5), -1);
-        q.schedule_batch([
-            (SimTime::from_millis(2), 2),
-            (SimTime::from_millis(1), 1),
-            (SimTime::from_millis(2), 3),
-            (SimTime::from_millis(9), 4),
-        ]);
-        q.schedule(SimTime::from_millis(2), 5);
-        // Same-instant ties resolve in submission order across the
-        // batch boundary: 2 and 3 (batched) before 5 (scheduled).
-        assert_eq!(drain(&mut q), vec![1, 2, 3, 5, -1, 4]);
-    }
-
-    #[test]
-    fn empty_batch_is_a_noop() {
-        let mut q: EventQueue<i64> = EventQueue::new();
-        q.schedule_batch(std::iter::empty());
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -352,11 +292,11 @@ mod tests {
         assert_eq!(now, SimTime::from_millis(6));
     }
 
-    /// The seed of the random-program properties: `AFRAID_SEED`,
-    /// default `0xAF1D_0012`, so CI can rerun them at several seeds.
+    /// The seed of the random-program property: `AFRAID_SEED`,
+    /// default `0xAF1D_0012`, so CI can rerun it at several seeds.
     #[expect(
         clippy::disallowed_methods,
-        reason = "CI reruns these properties at several seeds"
+        reason = "CI reruns this property at several seeds"
     )]
     fn program_seed() -> u64 {
         std::env::var("AFRAID_SEED")
@@ -365,10 +305,10 @@ mod tests {
             .unwrap_or(0xAF1D_0012)
     }
 
-    /// Model check: a random 20k-op program of schedules, batches,
-    /// cancels, peeks and pops, with clustered times so same-instant
-    /// ties are common, behaves exactly like a naive list that always
-    /// delivers its `(time, sequence)` minimum.
+    /// Model check: a random 20k-op program of schedules, bursts of
+    /// schedules, cancels, peeks and pops, with clustered times so
+    /// same-instant ties are common, behaves exactly like a naive list
+    /// that always delivers its `(time, sequence)` minimum.
     #[test]
     fn matches_a_naive_model_on_random_programs() {
         use crate::rng::SplitMix64;
@@ -388,9 +328,9 @@ mod tests {
                     seq += 1;
                 }
                 4 => {
-                    let burst: Vec<u64> = (0..i % 7).map(|_| time(&mut rng)).collect();
-                    q.schedule_batch(burst.iter().map(|&t| (SimTime::from_nanos(t), i)));
-                    for t in burst {
+                    for _ in 0..i % 7 {
+                        let t = time(&mut rng);
+                        q.schedule(SimTime::from_nanos(t), i);
                         model.push((t, seq, i));
                         seq += 1;
                     }
@@ -424,69 +364,10 @@ mod tests {
         }
     }
 
-    /// A burst scheduled one event at a time delivers exactly what
-    /// `schedule_batch` of the same burst delivers. Two queues share a
-    /// standing far-future population and a random program of bursts
-    /// (times drawn from a few instants, so ties with queued events and
-    /// within a burst are common), pops and cancels of single
-    /// schedules; one queue takes each burst through `schedule`, the
-    /// other through `schedule_batch`, and every pop must agree.
-    #[test]
-    fn schedule_loop_delivers_as_schedule_batch() {
-        use crate::rng::SplitMix64;
-
-        const FAR: u64 = 512;
-        const NEAR_DEPTH: usize = 32;
-        let far_at = |i: u64| SimTime::from_nanos((1 << 40) + i % 64);
-        let mut looped = EventQueue::new();
-        let mut batched = EventQueue::new();
-        looped.schedule_batch((1..=FAR).map(|i| (far_at(i), -(i as i64))));
-        batched.schedule_batch((1..=FAR).map(|i| (far_at(i), -(i as i64))));
-        let mut rng = SplitMix64::new(program_seed());
-        let mut timers: Vec<EventId> = Vec::new();
-        let mut now = 0u64;
-        for i in 0..20_000i64 {
-            let soon = |rng: &mut SplitMix64| SimTime::from_nanos(now + rng.next_below(6) * 1_000);
-            let mut pop = false;
-            match rng.next_u64() % 8 {
-                0..=3 => {
-                    let burst: Vec<(SimTime, i64)> = (0..rng.next_below(7))
-                        .map(|k| (soon(&mut rng), i * 8 + k as i64))
-                        .collect();
-                    for &(t, e) in &burst {
-                        looped.schedule(t, e);
-                    }
-                    batched.schedule_batch(burst);
-                }
-                4 => {
-                    let t = soon(&mut rng);
-                    let id = looped.schedule(t, i * 8);
-                    assert_eq!(batched.schedule(t, i * 8), id, "op {i}");
-                    timers.push(id);
-                }
-                5 if !timers.is_empty() => {
-                    let id = timers.swap_remove(rng.next_below(timers.len() as u64) as usize);
-                    assert_eq!(looped.cancel(id), batched.cancel(id), "op {i}");
-                }
-                _ => pop = true,
-            }
-            while pop || looped.len() > FAR as usize + NEAR_DEPTH {
-                pop = false;
-                let got = looped.pop();
-                assert_eq!(got, batched.pop(), "op {i}");
-                if let Some((t, _)) = got.filter(|&(_, e)| e >= 0) {
-                    now = t.as_nanos();
-                }
-            }
-            assert_eq!(looped.len(), batched.len(), "op {i}");
-        }
-        assert_eq!(drain(&mut looped), drain(&mut batched));
-    }
-
     /// The cost-model regression test. A standing timeline of 65,536
-    /// far-future barriers goes in through one batch, as the driver
-    /// pre-schedules commit barriers; then 100k near-term operations —
-    /// schedules, four-event batches, cancels and pops, with a dozen or
+    /// far-future barriers goes in latest-first, so each lands at the
+    /// back and none shifts; then 100k near-term operations —
+    /// schedules, four-event bursts, cancels and pops, with a dozen or
     /// so near-term events pending — run in front of it. Every
     /// operation may displace only the near-term entries, never the
     /// timeline, so `shifted` stays O(ops × near-term depth). Asserted
@@ -501,7 +382,9 @@ mod tests {
         const NEAR_DEPTH: u64 = 16;
         let far = 10_000_000u64;
         let mut q = EventQueue::new();
-        q.schedule_batch((1..=BARRIERS).map(|i| (SimTime::from_millis(far + i), -(i as i64))));
+        for i in (1..=BARRIERS).rev() {
+            q.schedule(SimTime::from_millis(far + i), -(i as i64));
+        }
         assert_eq!(q.shifted(), 0);
 
         let mut rng = SplitMix64::new(0xAF1D_0018);
@@ -514,7 +397,11 @@ mod tests {
                 |rng: &mut SplitMix64| SimTime::from_nanos(now + rng.next_u64() % 30_000_000);
             match rng.next_u64() % 4 {
                 0 => near.push((q.schedule(soon(&mut rng), i), i)),
-                1 => q.schedule_batch((0..4).map(|_| (soon(&mut rng), i))),
+                1 => {
+                    for _ in 0..4 {
+                        q.schedule(soon(&mut rng), i);
+                    }
+                }
                 2 if !near.is_empty() => {
                     let (id, _) = near.swap_remove(rng.next_u64() as usize % near.len());
                     assert!(q.cancel(id));

@@ -22,11 +22,13 @@
 #
 # Defaults: fault-storm, 10 pairs, seed 42, BENCHMARK.json's run_seconds,
 # --trace 0. Every run's result line is appended to --out (default: a
-# temporary file, whose path is printed). Exits 1 if any run reports an
-# incorrect result or a failed item.
+# temporary file, whose path is printed). Both binaries run from copies
+# in one temporary directory, under paths of equal length, so the two
+# sides start from process images of the same size. Exits 1 if any run
+# reports an incorrect result or a failed item.
 set -euo pipefail
 
-usage() { sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+usage() { sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
 
 [[ $# -ge 2 ]] || usage
 parent=$1 change=$2
@@ -50,6 +52,15 @@ for bin in "$parent" "$change"; do
     [[ -x $bin ]] || { echo "not an executable: $bin" >&2; exit 2; }
 done
 [[ -n $out ]] || out=$(mktemp -t ab_bench.XXXXXX.jsonl)
+# The binary's path is part of its process image (argv[0], the auxiliary
+# vector), so a shorter path shifts where the stack starts: copy both
+# sides to paths of one length.
+work=$(mktemp -d -t ab_bench.XXXXXX)
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/parent" "$work/change"
+cp "$parent" "$work/parent/afraid-benchmark"
+cp "$change" "$work/change/afraid-benchmark"
+parent=$work/parent/afraid-benchmark change=$work/change/afraid-benchmark
 echo "ab_bench: $workload, $pairs pairs, seed $seed, ${seconds}s, trace $trace -> $out" >&2
 
 run() { # side pair binary

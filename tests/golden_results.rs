@@ -93,9 +93,9 @@ fn cli_runs_serialize_as_recorded() {
     }
 }
 
-/// A commit-barrier timeline pre-scheduled through one batch, as in
-/// `examples/region_tuning.rs`: a parity point every 100 ms, each over
-/// a different 1 MB range.
+/// A commit-barrier timeline of 200 parity points, scheduled before
+/// the first arrival as in `examples/region_tuning.rs`: a point every
+/// 100 ms, each over a different 1 MB range.
 #[test]
 fn parity_point_timeline() {
     let cfg = ArrayConfig::small_test(ParityPolicy::IdleOnly);
