@@ -65,37 +65,6 @@ impl ModelParams {
         );
         self.mttf_disk_raw / (1.0 - self.coverage)
     }
-
-    /// Validates that every parameter is positive and finite.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
-        let positive = [
-            (self.mttf_disk_raw, "mttf_disk_raw"),
-            (self.mttdl_support, "mttdl_support"),
-            (self.mttr_disk, "mttr_disk"),
-        ];
-        for (v, name) in positive {
-            if !(v.is_finite() && v > 0.0) {
-                return Err(format!("{name} must be positive and finite, got {v}"));
-            }
-        }
-        if !(0.0..1.0).contains(&self.coverage) {
-            return Err(format!("coverage must be in [0,1), got {}", self.coverage));
-        }
-        if self.stripe_unit == 0 || !self.stripe_unit.is_multiple_of(512) {
-            return Err(format!(
-                "stripe_unit must be a positive multiple of 512, got {}",
-                self.stripe_unit
-            ));
-        }
-        if self.disk_bytes < self.stripe_unit {
-            return Err("disk smaller than one stripe unit".to_string());
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +80,6 @@ mod tests {
         assert_eq!(p.mttr_disk, 48.0);
         assert_eq!(p.stripe_unit, 8 * 1024);
         assert_eq!(p.disk_bytes, 2_000_000_000);
-        assert!(p.validate().is_ok());
     }
 
     #[test]
@@ -127,32 +95,6 @@ mod tests {
             ..ModelParams::default()
         };
         assert_eq!(p.mttf_disk(), p.mttf_disk_raw);
-    }
-
-    #[test]
-    fn validation_catches_bad_fields() {
-        let bad = [
-            ModelParams {
-                mttr_disk: 0.0,
-                ..ModelParams::default()
-            },
-            ModelParams {
-                coverage: 1.0,
-                ..ModelParams::default()
-            },
-            ModelParams {
-                stripe_unit: 1000,
-                ..ModelParams::default()
-            },
-            ModelParams {
-                disk_bytes: 512,
-                stripe_unit: 8192,
-                ..ModelParams::default()
-            },
-        ];
-        for p in bad {
-            assert!(p.validate().is_err(), "{p:?} should fail validation");
-        }
     }
 
     #[test]

@@ -155,11 +155,6 @@ pub(super) fn parse(args: &mut Args) -> Result<RunArgs, CliError> {
             _ => common.take(flag, args, SHARED)?,
         }
     }
-    // Checksums are kept against the intended contents, so injection
-    // and verification both need the shadow content model.
-    if cfg.integrity.active() {
-        cfg.shadow = true;
-    }
     cfg.validate().map_err(CliError::Config)?;
     opts.validate(&cfg).map_err(|e| {
         let (field, why) = e.split_once(": ").unwrap_or(("", &e));

@@ -111,7 +111,8 @@ impl Scenario {
                 cfg.faults.io_timeout = SimDuration::from_millis(100);
                 cfg.faults.evict_threshold = 0.5;
                 cfg.faults.health_alpha = 0.4;
-                cfg.faults.evict_spare_delay = SimDuration::from_millis(500);
+                opts.continue_degraded = true;
+                opts.spare_delay = Some(SimDuration::from_millis(500));
             }
             Scenario::NvramLoss => {
                 // Crash-time injection: the cut itself takes the NVRAM
@@ -157,7 +158,8 @@ impl Scenario {
 pub struct ChaosSpec {
     /// The scenario this spec was built from.
     pub scenario: Scenario,
-    /// Array configuration (always shadow-enabled).
+    /// Array configuration. A cut keeps the shadow model whatever
+    /// `cfg.shadow` says.
     pub cfg: ArrayConfig,
     /// In-run fault injections.
     pub opts: RunOptions,
@@ -276,6 +278,7 @@ mod tests {
             let spec = sc.spec(SimDuration::from_secs(1), 42);
             assert!(spec.cfg.shadow, "{}: chaos needs ground truth", sc.name());
             assert!(spec.cfg.validate().is_ok(), "{}", sc.name());
+            assert!(spec.opts.validate(&spec.cfg).is_ok(), "{}", sc.name());
             let trace = spec.trace();
             assert!(!trace.records.is_empty(), "{}", sc.name());
             assert!(trace.capacity <= CHAOS_CAPACITY);

@@ -86,7 +86,7 @@ use crate::layout::{Layout, UnitSlice};
 use crate::metrics::{IoCause, MetricsBuilder};
 use crate::nvram::MarkingMemory;
 use crate::policy::{Directives, Observations, ParityPolicy, PolicyEngine, WriteMode};
-use crate::recovery::Durable;
+use crate::recovery::CrashImage;
 use crate::regions::RegionMode;
 use crate::scrub::{TourScrubber, TourStep};
 use crate::shadow::{version_word, ShadowArray};
@@ -123,6 +123,16 @@ const LOG_REGION_BYTES: u64 = 4 * 1024 * 1024;
 /// Which half of a torn write reaches the platter: the new payload's
 /// upper word half lands, the lower half keeps the old bytes.
 const TORN_KEEP_MASK: u64 = 0xffff_ffff_0000_0000;
+
+/// The shadow model of a run that is cut: the driver builds it for
+/// every crash run, since recovery is judged against it.
+#[expect(
+    clippy::expect_used,
+    reason = "an internal invariant: a crash run keeps the shadow model"
+)]
+fn crash_shadow(shadow: Option<ShadowArray>) -> ShadowArray {
+    shadow.expect("a crash run keeps the shadow model")
+}
 
 /// Simulation events.
 #[derive(Clone, Copy, Debug)]
@@ -378,7 +388,7 @@ impl ParityLog {
 }
 
 /// The array controller plus its event state.
-pub struct Controller {
+pub(crate) struct Controller {
     cfg: ArrayConfig,
     layout: Layout,
     disks: Vec<Disk>,
@@ -408,7 +418,7 @@ pub struct Controller {
     pub(crate) metrics: MetricsBuilder,
     shadow: Option<ShadowArray>,
     /// Per-unit checksum map and corruption registry, when the
-    /// integrity subsystem is enabled (requires the shadow model).
+    /// integrity subsystem is enabled (which brings the shadow model).
     integrity: Option<IntegrityState>,
     read_cache: ReadCache,
     version: u64,
@@ -534,10 +544,11 @@ impl Controller {
                 )
             });
         let marks = MarkingMemory::new(layout.stripes(), cfg.mark_granularity);
-        let engine = PolicyEngine::new(cfg.policy, cfg.params, cfg.n_data());
-        let shadow = cfg.shadow.then(|| ShadowArray::new(layout));
-        // `validate` rejects integrity without the shadow model, so
-        // the state is built exactly when the subsystem is on.
+        let engine = PolicyEngine::new(cfg.policy, cfg.n_data());
+        // Checksums are kept against shadow words, so active integrity
+        // brings the model with it, and the state below is built
+        // exactly when the subsystem is on.
+        let shadow = (cfg.shadow || cfg.integrity.active()).then(|| ShadowArray::new(layout));
         let integrity = match (&shadow, cfg.integrity.active()) {
             (Some(sh), true) => Some(IntegrityState::new(sh)),
             _ => None,
@@ -627,29 +638,33 @@ impl Controller {
         }
     }
 
-    /// The crash-durable state, cloned: the controller runs on.
-    pub(crate) fn durable(&self) -> Durable {
-        Durable {
+    /// The crash image after `events_processed` events, cloned: the
+    /// controller runs on.
+    pub(crate) fn crash_image(&self, events_processed: u64) -> CrashImage {
+        CrashImage {
             marks: self.marks.clone(),
             regions: self.cfg.regions.clone(),
-            shadow: self.shadow.clone(),
+            shadow: crash_shadow(self.shadow.clone()),
             failed_disk: self.dead_disk(),
             scarred: self.scarred_units(),
             integrity: self.integrity.clone(),
             at: self.now,
+            events_processed,
         }
     }
 
-    /// The crash-durable state, moved out of a controller that is done.
-    pub(crate) fn into_durable(self) -> Durable {
-        Durable {
+    /// [`Controller::crash_image`] moved out of a controller that is
+    /// done.
+    pub(crate) fn into_crash_image(self, events_processed: u64) -> CrashImage {
+        CrashImage {
             failed_disk: self.dead_disk(),
             scarred: self.scarred_units(),
             at: self.now,
             marks: self.marks,
             regions: self.cfg.regions,
-            shadow: self.shadow,
+            shadow: crash_shadow(self.shadow),
             integrity: self.integrity,
+            events_processed,
         }
     }
 
@@ -660,11 +675,6 @@ impl Controller {
         if let Some(latent) = &mut self.latent {
             latent.advance(now);
         }
-    }
-
-    /// The current simulated instant.
-    pub fn now(&self) -> SimTime {
-        self.now
     }
 
     /// The dead (or being-rebuilt) disk while degraded. `None` once

@@ -26,6 +26,10 @@ use crate::faults::DataLossReport;
 use crate::metrics::RunMetrics;
 use crate::recovery::CrashImage;
 
+/// Spare installation delay after a health eviction when
+/// [`RunOptions::spare_delay`] gives none.
+const EVICT_SPARE_DELAY: SimDuration = SimDuration::from_secs(10);
+
 /// Optional fault injections and run switches.
 #[derive(Clone, Debug, Default)]
 pub struct RunOptions {
@@ -45,7 +49,8 @@ pub struct RunOptions {
     /// (lost) units return errors until rewritten.
     pub continue_degraded: bool,
     /// Install a spare this long after the failure and rebuild onto it
-    /// (requires `continue_degraded`).
+    /// (requires `continue_degraded`). A health eviction takes its
+    /// spare after this delay too, or after 10 s when it is unset.
     pub spare_delay: Option<SimDuration>,
 }
 
@@ -86,7 +91,6 @@ pub struct CrashRun {
 /// One in-flight trace replay: the event loop state shared by
 /// [`run_trace`], [`run_to_cut`] and [`run_to_cuts`].
 struct TraceRun<'a> {
-    cfg: &'a ArrayConfig,
     trace: &'a Trace,
     opts: &'a RunOptions,
     c: Controller,
@@ -97,8 +101,13 @@ struct TraceRun<'a> {
 }
 
 impl<'a> TraceRun<'a> {
-    fn new(cfg: &'a ArrayConfig, trace: &'a Trace, opts: &'a RunOptions) -> TraceRun<'a> {
-        let mut c = Controller::new(cfg.clone());
+    /// A replay of `trace`; a `crash` run, which is cut, keeps the
+    /// shadow model whatever `cfg.shadow` says.
+    fn new(cfg: &ArrayConfig, trace: &'a Trace, opts: &'a RunOptions, crash: bool) -> TraceRun<'a> {
+        let mut c = Controller::new(ArrayConfig {
+            shadow: cfg.shadow || crash,
+            ..cfg.clone()
+        });
         assert!(
             trace.capacity <= c.view().layout.logical_capacity(),
             "trace capacity {} exceeds array capacity {}",
@@ -127,7 +136,6 @@ impl<'a> TraceRun<'a> {
 
         c.metrics.run.event_queue_peak = c.events.len();
         TraceRun {
-            cfg,
             trace,
             opts,
             c,
@@ -190,10 +198,7 @@ impl<'a> TraceRun<'a> {
                     // eviction runs stay as recorded.
                     return true;
                 }
-                let delay = self
-                    .opts
-                    .spare_delay
-                    .unwrap_or(self.cfg.faults.evict_spare_delay);
+                let delay = self.opts.spare_delay.unwrap_or(EVICT_SPARE_DELAY);
                 self.lose_disk(disk, false, Some(delay));
             }
             other => c.handle(other),
@@ -233,16 +238,22 @@ impl<'a> TraceRun<'a> {
     /// state there, leaving the run to continue toward a later cut.
     fn crash_at(&mut self, cut: u64) -> CrashRun {
         let events_processed = self.step_to(cut);
-        let image = CrashImage::capture(&self.c, events_processed);
-        crash_run(image, self.loss.clone(), events_processed)
+        CrashRun {
+            image: self.c.crash_image(events_processed),
+            loss: self.loss.clone(),
+            events_processed,
+        }
     }
 
     /// [`TraceRun::crash_at`] for the run's only cut: the state moves
     /// out of the controller instead of being cloned.
     fn crash_last(mut self, cut: u64) -> CrashRun {
         let events_processed = self.step_to(cut);
-        let image = CrashImage::new(self.c.into_durable(), events_processed);
-        crash_run(image, self.loss, events_processed)
+        CrashRun {
+            image: self.c.into_crash_image(events_processed),
+            loss: self.loss,
+            events_processed,
+        }
     }
 
     fn finish(mut self) -> RunResult {
@@ -261,24 +272,6 @@ impl<'a> TraceRun<'a> {
     }
 }
 
-/// The crash run of a captured `image`, cut after `events_processed`
-/// events.
-#[expect(
-    clippy::expect_used,
-    reason = "the documented panic of run_to_cut(s) on a config without the shadow model"
-)]
-fn crash_run(
-    image: Option<CrashImage>,
-    loss: Option<DataLossReport>,
-    events_processed: u64,
-) -> CrashRun {
-    CrashRun {
-        image: image.expect("a crash capture needs cfg.shadow = true for recovery ground truth"),
-        loss,
-        events_processed,
-    }
-}
-
 /// Replays `trace` through an array configured by `cfg`.
 ///
 /// # Panics
@@ -286,23 +279,23 @@ fn crash_run(
 /// Panics if the configuration is invalid or the trace addresses
 /// space beyond the array's logical capacity.
 pub fn run_trace(cfg: &ArrayConfig, trace: &Trace, opts: &RunOptions) -> RunResult {
-    let mut run = TraceRun::new(cfg, trace, opts);
+    let mut run = TraceRun::new(cfg, trace, opts, false);
     while run.step() {}
     run.finish()
 }
 
 /// Replays `trace` but cuts the power after exactly `cut` processed
 /// events (or at natural drain, whichever comes first), returning the
-/// crash-durable state. A cut of 0 is a crash before any event.
+/// crash-durable state. A cut of 0 is a crash before any event. The
+/// run keeps the shadow model whatever `cfg.shadow` says: recovery is
+/// verified against it.
 ///
 /// # Panics
 ///
-/// Panics if the configuration has no shadow model (`cfg.shadow` must
-/// be true: crash recovery is verified against it), if the
-/// configuration is invalid, or if the trace exceeds the array's
-/// capacity.
+/// Panics if the configuration is invalid or the trace exceeds the
+/// array's capacity.
 pub fn run_to_cut(cfg: &ArrayConfig, trace: &Trace, opts: &RunOptions, cut: u64) -> CrashRun {
-    TraceRun::new(cfg, trace, opts).crash_last(cut)
+    TraceRun::new(cfg, trace, opts, true).crash_last(cut)
 }
 
 /// Replays `trace` once, calling `f` with what [`run_to_cut`] returns
@@ -322,7 +315,7 @@ pub fn run_to_cuts(
         cuts.windows(2).all(|w| w[0] <= w[1]),
         "run_to_cuts needs non-decreasing cuts"
     );
-    let mut run = TraceRun::new(cfg, trace, opts);
+    let mut run = TraceRun::new(cfg, trace, opts, true);
     for &cut in cuts {
         f(run.crash_at(cut));
     }
@@ -353,7 +346,7 @@ mod tests {
             parity_points: offsets.iter().map(|&o| (at, o, 8192)).collect(),
             ..RunOptions::default()
         };
-        let mut run = TraceRun::new(&cfg, &trace, &opts);
+        let mut run = TraceRun::new(&cfg, &trace, &opts, false);
         let fired: Vec<Option<u64>> = std::iter::from_fn(|| run.c.events.pop())
             .map(|(t, ev)| match ev {
                 Ev::ParityPoint { offset, .. } if t == at => Some(offset),

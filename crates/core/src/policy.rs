@@ -117,11 +117,12 @@ pub struct PolicyEngine {
 }
 
 impl PolicyEngine {
-    /// Creates the engine for an array with `n_data` data disks.
-    pub fn new(policy: ParityPolicy, params: ModelParams, n_data: u32) -> PolicyEngine {
+    /// Creates the engine for an array with `n_data` data disks, priced
+    /// with the paper's Table 1 ([`ModelParams::default`]).
+    pub fn new(policy: ParityPolicy, n_data: u32) -> PolicyEngine {
         PolicyEngine {
             policy,
-            params,
+            params: ModelParams::default(),
             n_data,
             reverted: false,
             afraid_mode: false,
@@ -239,7 +240,7 @@ mod tests {
     }
 
     fn engine(p: ParityPolicy) -> PolicyEngine {
-        PolicyEngine::new(p, ModelParams::default(), 4)
+        PolicyEngine::new(p, 4)
     }
 
     #[test]

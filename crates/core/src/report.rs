@@ -1,5 +1,6 @@
 //! Glue from simulation measurements to availability numbers.
 
+use afraid_avail::params::ModelParams;
 use afraid_avail::report::{
     AvailabilityReport, CorruptionExposure, DesignKind, EvictionExposure, LatentExposure,
 };
@@ -44,7 +45,7 @@ pub fn latent_exposure(cfg: &ArrayConfig, metrics: &RunMetrics) -> Option<Latent
         };
         tour_secs / 2.0 / 3600.0
     } else {
-        cfg.params.mttf_disk()
+        ModelParams::default().mttf_disk()
     };
     Some(LatentExposure {
         rate_per_disk_hour: rate,
@@ -110,7 +111,7 @@ pub fn availability(cfg: &ArrayConfig, metrics: &RunMetrics) -> AvailabilityRepo
     };
     AvailabilityReport::build(
         kind,
-        &cfg.params,
+        &ModelParams::default(),
         cfg.n_data(),
         frac,
         lag,
@@ -171,7 +172,7 @@ mod tests {
         let mut cfg = ArrayConfig::small_test(ParityPolicy::IdleOnly);
         cfg.scrub.latent_rate_per_disk_hour = 1e-4;
         let e = latent_exposure(&cfg, &metrics_with(0, 0.0)).unwrap();
-        assert_eq!(e.dwell_hours, cfg.params.mttf_disk());
+        assert_eq!(e.dwell_hours, ModelParams::default().mttf_disk());
         let r = availability(&cfg, &metrics_with(0, 0.0));
         assert!(r.mttdl_latent.is_finite());
     }

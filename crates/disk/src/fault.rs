@@ -135,14 +135,6 @@ impl SilentProfile {
         lost_write_per_io: 0.0,
         misdirected_write_per_io: 0.0,
     };
-
-    /// True when any silent rate is non-zero.
-    pub fn active(&self) -> bool {
-        self.bit_flip_per_read > 0.0
-            || self.torn_write_per_io > 0.0
-            || self.lost_write_per_io > 0.0
-            || self.misdirected_write_per_io > 0.0
-    }
 }
 
 /// What one silent-write draw produced.
@@ -382,12 +374,6 @@ mod tests {
             lost_write_per_io: lost,
             misdirected_write_per_io: misdirected,
         }
-    }
-
-    #[test]
-    fn silent_profile_activity() {
-        assert!(!SilentProfile::NONE.active());
-        assert!(silent(0.0, 0.0, 1e-9, 0.0).active());
     }
 
     #[test]

@@ -135,11 +135,6 @@ impl<E> EventQueue<E> {
         self.items.pop().map(|e| (e.time, e.event))
     }
 
-    /// The time of the earliest event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.items.last().map(|e| e.time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.items.len()
@@ -245,21 +240,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_skips_cancelled_events() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(SimTime::from_millis(1), 1);
-        q.schedule(SimTime::from_millis(2), 2);
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
-    }
-
-    #[test]
-    fn peek_empty() {
-        let q: EventQueue<i64> = EventQueue::new();
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
     fn len_tracks_live_entries() {
         let mut q = EventQueue::new();
         let ids: Vec<_> = (0..10)
@@ -306,7 +286,7 @@ mod tests {
     }
 
     /// Model check: a random 20k-op program of schedules, bursts of
-    /// schedules, cancels, peeks and pops, with clustered times so
+    /// schedules, cancels and pops, with clustered times so
     /// same-instant ties are common, behaves exactly like a naive list
     /// that always delivers its `(time, sequence)` minimum.
     #[test]
@@ -342,10 +322,6 @@ mod tests {
                     if let Some(p) = live {
                         model.swap_remove(p);
                     }
-                }
-                7 => {
-                    let min = model.iter().map(|e| (e.0, e.1)).min();
-                    assert_eq!(q.peek_time().map(|t| t.as_nanos()), min.map(|m| m.0));
                 }
                 _ => {
                     let min = (0..model.len()).min_by_key(|&p| (model[p].0, model[p].1));

@@ -3,16 +3,18 @@
 #
 # Runs PARENT and CHANGE on the same fixed battery and compares their
 # stdout and exit status item by item: `chaos --json`, `integrity
-# --secs 60 --json`, and fourteen `run --json --secs 300` flag sets
+# --secs 60 --json`, and fifteen `run --json --secs 300` flag sets
 # covering the four fault-storm mixes, NVRAM failure under AFRAID and
 # RAID 5, silent corruption alone, corruption with a disk loss, a
 # degraded run and a spare, and every write mode: RAID 5 (clean-stripe
 # read-modify-write against reconstruct-write), an MTTDL target (mode
 # switches and stale stripes) and the conservative policy. Three more
 # pin fail-stop loss reports: a disk lost during the NVRAM sweep,
-# without and with the shadow model, and a latent sector loss.
-# Sixteen items in all. Prints SAME or DIFF per item; a DIFF
-# leaves both outputs in the work directory, whose path is printed.
+# without and with the shadow model, and a latent sector loss. The
+# last evicts a fail-slow disk and rebuilds a spare after the default
+# eviction spare delay. Seventeen items in all. Prints SAME or
+# DIFF per item; a DIFF leaves both outputs in the work directory,
+# whose path is printed.
 # `paper all` is not in the battery: compare it against
 # results/experiments-1800s.txt instead.
 #
@@ -28,7 +30,7 @@
 # Exits 1 on any DIFF, 2 on bad usage.
 set -euo pipefail
 
-usage() { sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
+usage() { sed -n '2,30p' "$0" | sed 's/^# \{0,1\}//'; exit 2; }
 
 [[ $# -eq 2 ]] || usage
 parent=$1 change=$2
@@ -54,6 +56,7 @@ items=(
     "run --json --secs 300 --fail-nvram 100 --fail-disk 2@120"
     "run --json --secs 300 --fail-nvram 100 --fail-disk 2@120 --corrupt 1e-3"
     "run --json --secs 300 --latent 5 --fail-disk 2@200"
+    "run --json --secs 300 --workload netware --transient 1e-3:1e-4 --fail-slow 1@100+200x40 --evict-threshold 0.5"
 )
 
 work=$(mktemp -d)

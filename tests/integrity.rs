@@ -213,7 +213,6 @@ fn degraded_corruption_run_prices_availability() {
     cfg.integrity.misdirected_write_per_io = 1e-3;
     cfg.integrity.verify_reads = true;
     cfg.integrity.verify_scrub = true;
-    cfg.shadow = true;
     // The CLI's trace capacity: ~90 % of the array's usable space.
     let unit_sectors = cfg.stripe_unit_bytes / 512;
     let stripes = cfg.disk_model.geometry.capacity_sectors() / unit_sectors;

@@ -112,13 +112,9 @@ fn exhausted_reads_fall_back_to_reconstruction() {
     assert!(r.loss.is_none(), "no disk failed");
 }
 
-/// A fail-slow disk times out enough commands to trip the EWMA health
-/// scoreboard: the controller drains it to full redundancy, evicts it
-/// (losslessly — the assessment at the eviction instant must find
-/// nothing exposed), and rebuilds onto a spare. Bit-identical when
-/// repeated.
-#[test]
-fn fail_slow_disk_is_evicted_and_rebuilt() {
+/// A steady write-heavy stream over an array whose disk 2 limps from
+/// 2 s on, hard enough for the scoreboard to evict it.
+fn limping_disk() -> (ArrayConfig, Trace) {
     let mut trace = Trace::new("failslow", CAP);
     for i in 0..400u64 {
         trace.push(IoRecord {
@@ -142,9 +138,24 @@ fn fail_slow_disk_is_evicted_and_rebuilt() {
     cfg.faults.io_timeout = SimDuration::from_millis(100);
     cfg.faults.evict_threshold = 0.5;
     cfg.faults.health_alpha = 0.4;
-    cfg.faults.evict_spare_delay = SimDuration::from_secs(2);
+    (cfg, trace)
+}
 
-    let r = run_trace(&cfg, &trace, &RunOptions::default());
+/// A fail-slow disk times out enough commands to trip the EWMA health
+/// scoreboard: the controller drains it to full redundancy, evicts it
+/// (losslessly — the assessment at the eviction instant must find
+/// nothing exposed), and rebuilds onto a spare. Bit-identical when
+/// repeated.
+#[test]
+fn fail_slow_disk_is_evicted_and_rebuilt() {
+    let (cfg, trace) = limping_disk();
+    let opts = RunOptions {
+        continue_degraded: true,
+        spare_delay: Some(SimDuration::from_secs(2)),
+        ..RunOptions::default()
+    };
+
+    let r = run_trace(&cfg, &trace, &opts);
     let m = &r.metrics;
     assert!(m.timeouts > 0, "the limping disk never timed out");
     assert_eq!(m.evictions, 1, "scoreboard must evict exactly once");
@@ -161,8 +172,24 @@ fn fail_slow_disk_is_evicted_and_rebuilt() {
     assert!(m.evict_exposure_secs > 0.0);
     assert_eq!(m.requests as usize, trace.len());
 
-    let again = run_trace(&cfg, &trace, &RunOptions::default());
+    let again = run_trace(&cfg, &trace, &opts);
     assert_eq!(snapshot(&r), snapshot(&again));
+}
+
+/// An eviction's spare arrives 10 s after the eviction when the run
+/// options give no spare delay.
+#[test]
+fn eviction_spare_delay_defaults_to_ten_seconds() {
+    let (cfg, trace) = limping_disk();
+    let unset = run_trace(&cfg, &trace, &RunOptions::default());
+    let ten = RunOptions {
+        continue_degraded: true,
+        spare_delay: Some(SimDuration::from_secs(10)),
+        ..RunOptions::default()
+    };
+    assert!(unset.evicted_at.is_some(), "eviction must fire");
+    assert!(unset.rebuilt_at.is_some(), "spare rebuild must finish");
+    assert_eq!(snapshot(&unset), snapshot(&run_trace(&cfg, &trace, &ten)));
 }
 
 /// The env-seeded fault scenario is reproducible run to run — the CI
